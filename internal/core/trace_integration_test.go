@@ -26,7 +26,9 @@ func TestEpochEmitsTrace(t *testing.T) {
 	if _, err := s.RunEpoch(w); err != nil {
 		t.Fatal(err)
 	}
-	w.ServeSeconds(1, 10)
+	if _, err := w.ServeSeconds(1, 10); err != nil {
+		t.Fatal(err)
+	}
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}

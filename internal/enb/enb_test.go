@@ -241,3 +241,15 @@ func TestSchedulerConservationProperty(t *testing.T) {
 		t.Errorf("bit accounting mismatch: %v vs %v", totalTTI, totalUE)
 	}
 }
+
+// A zero interference penalty must leave the link adaptation on the
+// interference-free arithmetic bit for bit: the fleet's degraded
+// mapping and the single-cell scheduler then serve identical bits.
+func TestDegradedBitsZeroPenaltyIsBitwiseIdentity(t *testing.T) {
+	for cqi := 0; cqi <= 15; cqi++ {
+		got, want := BitsPerPRBTTIDegraded(cqi, 0), BitsPerPRBTTI(cqi)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("CQI %d: degraded %v (%#x) != plain %v (%#x)", cqi, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

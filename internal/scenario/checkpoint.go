@@ -159,11 +159,11 @@ func writeCheckpoint(env *runEnv, nextEpoch int, cp *CheckpointConfig, onCheckpo
 	}
 	worldSection := sectionWorld
 	var world []byte
-	if env.mw != nil {
-		worldSection = sectionMultiWorld
-		world, err = gobBytes(env.mw.Snapshot())
-	} else {
+	if env.w != nil {
 		world, err = gobBytes(env.w.Snapshot())
+	} else {
+		worldSection = sectionMultiWorld
+		world, err = gobBytes(env.m.Snapshot())
 	}
 	if err != nil {
 		return fmt.Errorf("scenario: encoding world: %w", err)
@@ -359,17 +359,15 @@ func Resume(ctx context.Context, path string, expect *Spec, opts Options) (*Resu
 	if err := env.rng.Restore(progress.RNG); err != nil {
 		return nil, nil, fmt.Errorf("scenario: restoring scenario RNG: %w", err)
 	}
-	if env.mw != nil {
-		if err := env.mw.Restore(multiState); err != nil {
-			return nil, nil, err
-		}
-	} else {
+	if env.w != nil {
 		if err := env.w.Restore(worldState); err != nil {
 			return nil, nil, err
 		}
 		if err := restoreController(env.ctrl, cs); err != nil {
 			return nil, nil, err
 		}
+	} else if err := env.m.Restore(multiState); err != nil {
+		return nil, nil, err
 	}
 	env.res.Terrain = reports.Terrain
 	env.res.Controller = reports.Controller

@@ -66,7 +66,7 @@ type Spec struct {
 	// Cells, when >= 2, runs the cooperative multi-UAV fleet instead of
 	// the single-UAV controller loop: one airborne eNodeB per cell on a
 	// shared EPC, interference-aware placement, load-aware selection and
-	// A3 handovers. 0 (and 1) keep the legacy single-UAV path, and every
+	// A3 handovers. 0 (and 1) keep the single-UAV controller loop, and every
 	// multi-cell field below is omitted from the wire form when unset,
 	// so existing spec fingerprints are unchanged.
 	Cells int `json:"cells,omitempty"`
@@ -350,14 +350,15 @@ type Options struct {
 	RecordTrace string
 }
 
-// runEnv is a built scenario: the world (single-UAV or fleet),
-// controller and scenario RNG a run (or a resumed run) executes
-// against. Exactly one of w and mw is set.
+// runEnv is a built scenario: the world, controller and scenario RNG a
+// run (or a resumed run) executes against. m is always set and serves
+// every epoch; w is the single-UAV world m belongs to, nil on fleet
+// runs, which keep no controller.
 type runEnv struct {
 	spec Spec
 	rng  *detrand.Rand
 	w    *sim.World
-	mw   *sim.MultiCell
+	m    *sim.MultiCell
 	ctrl core.Controller
 	res  *Result
 }
@@ -391,42 +392,50 @@ func build(spec Spec, opts Options) (*runEnv, error) {
 		}
 		ues = ue.PlaceRandomOpen(spec.UEs, area, t.IsOpen, minSep, rng.Rand)
 	}
+	env := &runEnv{spec: spec, rng: rng}
+	cfg := sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults}
+	controller := "fleet"
 	if spec.Cells >= 2 {
-		return buildFleet(spec, opts, t, rng, ues)
+		m, err := buildFleet(spec, opts, cfg, ues)
+		if err != nil {
+			return nil, err
+		}
+		env.m = m
+	} else {
+		w, err := sim.New(cfg, ues)
+		if err != nil {
+			return nil, err
+		}
+		ctrl, err := makeController(spec.Controller, spec.BudgetM, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		env.w, env.m, env.ctrl = w, w.MultiCell, ctrl
+		controller = ctrl.Name()
 	}
-	w, err := sim.New(sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults}, ues)
-	if err != nil {
-		return nil, err
-	}
-	w.Tracer = opts.Tracer
+	env.m.Tracer = opts.Tracer
 	if opts.Tracer != nil {
 		opts.Tracer.Meta(t.Name, spec.Seed)
 	}
-
-	ctrl, err := makeController(spec.Controller, spec.BudgetM, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-
 	st := t.Stats()
-	res := &Result{
+	env.res = &Result{
 		Spec: spec,
 		Terrain: TerrainInfo{
 			Name: t.Name, WidthM: t.Bounds().Width(), HeightM: t.Bounds().Height(),
 			OpenFrac: st.OpenFrac, BuildingFrac: st.BuildingFrac, FoliageFrac: st.FoliageFrac,
 			MaxObstacleHeightM: st.MaxObstacleHeight,
 		},
-		Controller:     ctrl.Name(),
-		ActiveSessions: w.Core.ActiveSessions(),
+		Controller:     controller,
+		ActiveSessions: env.m.Core.ActiveSessions(),
 	}
-	return &runEnv{spec: spec, rng: rng, w: w, ctrl: ctrl, res: res}, nil
+	return env, nil
 }
 
-// buildFleet constructs the multi-cell fleet environment: the carrier
-// plan and A3 knobs come from the spec, every UE optionally gets
-// random-waypoint mobility, and no single-UAV controller exists — the
-// fleet IS the placement strategy.
-func buildFleet(spec Spec, opts Options, t *terrain.Surface, rng *detrand.Rand, ues []*ue.UE) (*runEnv, error) {
+// buildFleet constructs the multi-cell fleet: the carrier plan and A3
+// knobs come from the spec, every UE optionally gets random-waypoint
+// mobility, and no single-UAV controller exists — the fleet IS the
+// placement strategy.
+func buildFleet(spec Spec, opts Options, cfg sim.Config, ues []*ue.UE) (*sim.MultiCell, error) {
 	plan, err := interference.ParsePlan(spec.Carriers)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -441,33 +450,18 @@ func buildFleet(spec Spec, opts Options, t *terrain.Surface, rng *detrand.Rand, 
 	if spec.MobilityMS > 0 {
 		// The same inset the placement uses, so waypoint targets stay in
 		// the populated area.
+		t := cfg.Terrain
 		area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
 		for _, u := range ues {
 			u.Mobility = ue.NewRandomWaypoint(area, spec.MobilityMS, 0)
 		}
 	}
-	mw, err := sim.NewMultiCell(sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults},
-		spec.Cells, plan, ho, ues, opts.Workers)
+	m, err := sim.NewMultiCell(cfg, spec.Cells, plan, ho, ues, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	mw.Mobile = spec.MobilityMS > 0
-	mw.Tracer = opts.Tracer
-	if opts.Tracer != nil {
-		opts.Tracer.Meta(t.Name, spec.Seed)
-	}
-	st := t.Stats()
-	res := &Result{
-		Spec: spec,
-		Terrain: TerrainInfo{
-			Name: t.Name, WidthM: t.Bounds().Width(), HeightM: t.Bounds().Height(),
-			OpenFrac: st.OpenFrac, BuildingFrac: st.BuildingFrac, FoliageFrac: st.FoliageFrac,
-			MaxObstacleHeightM: st.MaxObstacleHeight,
-		},
-		Controller:     "fleet",
-		ActiveSessions: mw.Core.ActiveSessions(),
-	}
-	return &runEnv{spec: spec, rng: rng, mw: mw, res: res}, nil
+	m.Mobile = spec.MobilityMS > 0
+	return m, nil
 }
 
 // Run executes the scenario and returns its Result plus the
@@ -490,7 +484,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, *rem.Store, err
 	}
 	res, store, err := runFrom(ctx, env, len(env.res.Epochs), opts)
 	if err == nil && opts.RecordTrace != "" {
-		if _, werr := env.w.Capture.Trace.WriteFile(opts.RecordTrace); werr != nil {
+		if _, werr := env.m.Capture.Trace.WriteFile(opts.RecordTrace); werr != nil {
 			return res, store, fmt.Errorf("scenario: writing trace: %w", werr)
 		}
 	}
@@ -498,177 +492,57 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, *rem.Store, err
 }
 
 // runFrom executes epochs startEpoch..spec.Epochs-1 against a built
-// (or restored) environment.
+// (or restored) environment. Each epoch opens with the world's own
+// placement step — the single-UAV controller localizes, measures and
+// places; the fleet re-places its cells and reselects — and closes
+// with the one tail both share: serve, record, publish, checkpoint.
 func runFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options) (*Result, *rem.Store, error) {
-	if env.mw != nil {
-		return runFleetFrom(ctx, env, startEpoch, opts)
-	}
-	spec, w, ctrl, rng, res := env.spec, env.w, env.ctrl, env.rng, env.res
-	// Per-epoch fault deltas diff against the counters at loop entry;
-	// on a resume the restored injector carries the pre-checkpoint
-	// totals, so the first resumed epoch's delta starts from them.
-	prevFaults := w.FaultCounts()
-	for e := startEpoch; e < spec.Epochs; e++ {
-		if err := ctx.Err(); err != nil {
-			return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-		}
-		relocated := e > 0
-		if relocated {
-			relocateHalf(w, rng.Rand)
-		}
-		er, err := core.RunEpochCtx(ctx, ctrl, w)
-		if err != nil {
-			return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-		}
-		rep := EpochReport{
-			Epoch:          e + 1,
-			Relocated:      relocated,
-			Position:       er.Position,
-			ObjectiveValue: er.ObjectiveValue,
-			LocalizationM:  er.LocalizationM,
-			MeasurementM:   er.MeasurementM,
-			TotalFlightS:   er.TotalFlightS,
-		}
-		if len(er.UEEstimates) == len(w.UEs) {
-			var errs []float64
-			for i, est := range er.UEEstimates {
-				errs = append(errs, est.Dist(w.UEs[i].Pos))
-			}
-			med := metrics.Median(errs)
-			rep.MedianLocErrM = &med
-		}
-
-		// Quality vs ground truth in the serving plane. The exhaustive
-		// grid scan is O(cells × UEs); past the probing-controller cap
-		// it would dominate the run, so scale-up populations skip it.
-		rep.ThroughputBps = w.AvgThroughputAt(er.Position)
-		if len(w.UEs) <= 200 {
-			bestPos, bestVal := core.BestPosition(w, er.Position.Z, 5, rem.MaxMean)
-			rep.OptimalBps = bestVal
-			rep.OptimalPos = bestPos
-			rep.RelativeThroughput = metrics.Relative(rep.ThroughputBps, bestVal)
-		}
-
-		if spec.ServeS > 0 {
-			if spec.Traffic != nil {
-				trep, err := w.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
-				if err != nil {
-					return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				rep.Traffic = trep
-				for _, k := range trep.KPIs {
-					rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
-					rep.AggregateServedBps += k.ThroughputBps
-				}
-			} else {
-				bits := w.ServeSeconds(spec.ServeS, 10)
-				for i, b := range bits {
-					rep.Served = append(rep.Served, UEServed{UE: w.UEs[i].ID, ServedBps: b / spec.ServeS})
-					rep.AggregateServedBps += b / spec.ServeS
-				}
-			}
-		}
-		rep.BatteryFrac = w.UAV.EnergyFraction()
-		rep.OdometerM = w.UAV.OdometerM()
-		if spec.Faults != nil {
-			now := w.FaultCounts()
-			if delta := now.Sub(prevFaults); !delta.IsZero() {
-				d := delta
-				rep.Faults = &d
-				if w.Tracer != nil {
-					for _, nc := range delta.NonZero() {
-						w.Tracer.Emit(trace.Record{
-							Kind: trace.KindFault, T: w.Clock, Epoch: e + 1,
-							Fault: nc.Name, Value: float64(nc.N),
-						})
-					}
-				}
-			}
-			prevFaults = now
-		}
-		res.Epochs = append(res.Epochs, rep)
-		if opts.OnEpoch != nil {
-			opts.OnEpoch(rep)
-		}
-		if cp := opts.Checkpoint; cp != nil {
-			every := cp.EveryEpochs
-			if every <= 0 {
-				every = 1
-			}
-			if (e+1)%every == 0 {
-				if err := writeCheckpoint(env, e+1, cp, opts.OnCheckpoint); err != nil {
-					return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-				}
-			}
-		}
-	}
-	return res, storeOf(ctrl), nil
-}
-
-// runFleetFrom is the multi-cell epoch loop: relocate half the UEs,
-// re-place the fleet on the new UE field, reselect cells load-aware,
-// serve (with A3 handovers firing mid-phase), and report per-cell
-// SINR/load/fairness plus the epoch's handover KPI deltas. Fleet runs
-// keep no REM store.
-func runFleetFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options) (*Result, *rem.Store, error) {
-	spec, m, rng, res := env.spec, env.mw, env.rng, env.res
-	// Deltas diff against the counters at loop entry; on a resume the
-	// restored injector and handover engine carry the pre-checkpoint
-	// totals, so the first resumed epoch's delta starts from them.
+	spec, m, res := env.spec, env.m, env.res
+	// Per-epoch deltas diff against the counters at loop entry; on a
+	// resume the restored injector and handover engine carry the
+	// pre-checkpoint totals, so the first resumed epoch's delta starts
+	// from them.
 	prevFaults := m.FaultCounts()
 	prevHO := m.HO.Stats()
 	for e := startEpoch; e < spec.Epochs; e++ {
 		if err := ctx.Err(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+			return res, storeOf(env.ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
 		}
 		relocated := e > 0
 		if relocated {
-			relocateHalfOf(m.Cfg.Terrain, m.UEs, rng.Rand)
+			relocateHalf(m.Cfg.Terrain, m.UEs, env.rng.Rand)
 		}
-		if err := m.PlaceCells(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d placement: %w", e+1, err)
+		var rep EpochReport
+		var err error
+		if env.w != nil {
+			rep, err = controllerEpoch(ctx, env, e)
+		} else {
+			rep, err = fleetEpoch(env, e)
 		}
-		if err := m.Reselect(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d reselection: %w", e+1, err)
+		if err != nil {
+			return res, storeOf(env.ctrl), err
 		}
-		rep := EpochReport{
-			Epoch:          e + 1,
-			Relocated:      relocated,
-			Position:       m.Graph.Cells[0],
-			ObjectiveValue: m.MinSINRdB(),
-			ThroughputBps:  m.AvgThroughputBps(),
-		}
+		rep.Epoch, rep.Relocated = e+1, relocated
+
 		if spec.ServeS > 0 {
-			if spec.Traffic != nil {
-				trep, err := m.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
-				if err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				rep.Traffic = trep
-				for _, k := range trep.KPIs {
-					rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
-					rep.AggregateServedBps += k.ThroughputBps
-				}
-			} else {
-				bits, err := m.ServeSeconds(spec.ServeS, 10)
-				if err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				for i, b := range bits {
-					rep.Served = append(rep.Served, UEServed{UE: m.UEs[i].ID, ServedBps: b / spec.ServeS})
-					rep.AggregateServedBps += b / spec.ServeS
-				}
+			if err := serveEpoch(env, &rep); err != nil {
+				return res, storeOf(env.ctrl), fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
 			}
 		}
-		rep.Cells = cellReports(m, rep.Served)
-		ho := m.HO.Stats()
-		rep.Handover = &HandoverReport{
-			Attempts:      ho.Attempts - prevHO.Attempts,
-			Successes:     ho.Successes - prevHO.Successes,
-			PingPongs:     ho.PingPongs - prevHO.PingPongs,
-			InterruptionS: ho.InterruptionS - prevHO.InterruptionS,
+		if env.w != nil {
+			rep.BatteryFrac = env.w.UAV.EnergyFraction()
+			rep.OdometerM = env.w.UAV.OdometerM()
+		} else {
+			rep.Cells = cellReports(m, rep.Served)
+			ho := m.HO.Stats()
+			rep.Handover = &HandoverReport{
+				Attempts:      ho.Attempts - prevHO.Attempts,
+				Successes:     ho.Successes - prevHO.Successes,
+				PingPongs:     ho.PingPongs - prevHO.PingPongs,
+				InterruptionS: ho.InterruptionS - prevHO.InterruptionS,
+			}
+			prevHO = ho
 		}
-		prevHO = ho
 		if spec.Faults != nil {
 			now := m.FaultCounts()
 			if delta := now.Sub(prevFaults); !delta.IsZero() {
@@ -696,12 +570,99 @@ func runFleetFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options
 			}
 			if (e+1)%every == 0 {
 				if err := writeCheckpoint(env, e+1, cp, opts.OnCheckpoint); err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+					return res, storeOf(env.ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
 				}
 			}
 		}
 	}
-	return res, nil, nil
+	return res, storeOf(env.ctrl), nil
+}
+
+// controllerEpoch runs one single-UAV controller epoch (localize,
+// measure, place) and scores the placement against ground truth.
+func controllerEpoch(ctx context.Context, env *runEnv, e int) (EpochReport, error) {
+	w := env.w
+	er, err := core.RunEpochCtx(ctx, env.ctrl, w)
+	if err != nil {
+		return EpochReport{}, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+	}
+	rep := EpochReport{
+		Position:       er.Position,
+		ObjectiveValue: er.ObjectiveValue,
+		LocalizationM:  er.LocalizationM,
+		MeasurementM:   er.MeasurementM,
+		TotalFlightS:   er.TotalFlightS,
+	}
+	if len(er.UEEstimates) == len(w.UEs) {
+		var errs []float64
+		for i, est := range er.UEEstimates {
+			errs = append(errs, est.Dist(w.UEs[i].Pos))
+		}
+		med := metrics.Median(errs)
+		rep.MedianLocErrM = &med
+	}
+	// Quality vs ground truth in the serving plane. The exhaustive grid
+	// scan is O(cells × UEs); past the probing-controller cap it would
+	// dominate the run, so scale-up populations skip it.
+	rep.ThroughputBps = w.AvgThroughputAt(er.Position)
+	if len(w.UEs) <= 200 {
+		bestPos, bestVal := core.BestPosition(w, er.Position.Z, 5, rem.MaxMean)
+		rep.OptimalBps = bestVal
+		rep.OptimalPos = bestPos
+		rep.RelativeThroughput = metrics.Relative(rep.ThroughputBps, bestVal)
+	}
+	return rep, nil
+}
+
+// fleetEpoch re-places the fleet on the current UE field, reselects
+// cells load-aware, and reports the fleet's placement objective.
+func fleetEpoch(env *runEnv, e int) (EpochReport, error) {
+	m := env.m
+	if err := m.PlaceCells(); err != nil {
+		return EpochReport{}, fmt.Errorf("scenario: epoch %d placement: %w", e+1, err)
+	}
+	if err := m.Reselect(); err != nil {
+		return EpochReport{}, fmt.Errorf("scenario: epoch %d reselection: %w", e+1, err)
+	}
+	return EpochReport{
+		Position:       m.Graph.Cells[0],
+		ObjectiveValue: m.MinSINRdB(),
+		ThroughputBps:  m.AvgThroughputBps(),
+	}, nil
+}
+
+// serveEpoch runs the epoch's serving phase and records the per-UE
+// served rates (and the KPI report under a traffic workload) in rep.
+func serveEpoch(env *runEnv, rep *EpochReport) error {
+	var sv interface {
+		ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error)
+		ServeSeconds(seconds float64, ttiStride int) ([]float64, error)
+	} = env.m
+	if env.w != nil {
+		sv = env.w // parks the world's one cell at the UAV first
+	}
+	spec := env.spec
+	if spec.Traffic != nil {
+		trep, err := sv.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
+		if err != nil {
+			return err
+		}
+		rep.Traffic = trep
+		for _, k := range trep.KPIs {
+			rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
+			rep.AggregateServedBps += k.ThroughputBps
+		}
+		return nil
+	}
+	bits, err := sv.ServeSeconds(spec.ServeS, 10)
+	if err != nil {
+		return err
+	}
+	for i, b := range bits {
+		rep.Served = append(rep.Served, UEServed{UE: env.m.UEs[i].ID, ServedBps: b / spec.ServeS})
+		rep.AggregateServedBps += b / spec.ServeS
+	}
+	return nil
 }
 
 // cellReports summarises each cell for one epoch: position, load,
@@ -764,13 +725,7 @@ func makeController(name string, budget float64, seed int64) (core.Controller, e
 
 // relocateHalf moves half the UEs to fresh open positions between
 // epochs — the paper's dynamic-UE workload.
-func relocateHalf(w *sim.World, rng *rand.Rand) {
-	relocateHalfOf(w.Terrain, w.UEs, rng)
-}
-
-// relocateHalfOf is relocateHalf over any UE population — the fleet
-// world shares the exact draw sequence with the legacy path.
-func relocateHalfOf(t *terrain.Surface, ues []*ue.UE, rng *rand.Rand) {
+func relocateHalf(t *terrain.Surface, ues []*ue.UE, rng *rand.Rand) {
 	area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
 	for i := 0; i < len(ues)/2; i++ {
 		idx := rng.Intn(len(ues))

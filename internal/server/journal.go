@@ -50,18 +50,43 @@ func (s *Server) jobCheckpointDir(id string) string {
 // writeJournal persists the job's current state. Best-effort after the
 // startup writability probe: a transient write failure must not take
 // down a running job, and the next transition rewrites the file.
+// Snapshot and write happen under the job's journal lock, and a
+// snapshot ranking below the last committed record is dropped, so
+// racing writers (a submitter journaling "queued" after a worker
+// already started the job) can never move the record backwards.
 func (s *Server) writeJournal(j *Job) {
 	if s.journalDir == "" {
 		return
 	}
+	j.jmu.Lock()
+	defer j.jmu.Unlock()
 	j.mu.Lock()
 	ent := journalEntry{ID: j.id, Spec: j.spec, State: j.state, Recovered: j.recovered, IdemKey: j.idemKey, CkptDir: j.ckptDir, Error: j.errMsg, Stack: j.panicStack}
 	j.mu.Unlock()
+	rank := stateRank(ent.State)
+	if rank < j.journaled {
+		return
+	}
 	b, err := json.MarshalIndent(ent, "", "  ")
 	if err != nil {
 		return
 	}
-	writeFileAtomic(s.journalPath(ent.ID), append(b, '\n'))
+	if writeFileAtomic(s.journalPath(ent.ID), append(b, '\n')) == nil {
+		j.journaled = rank
+	}
+}
+
+// stateRank orders lifecycle states: queued < running < terminal.
+func stateRank(st JobState) int {
+	switch {
+	case st == JobQueued:
+		return 1
+	case st == JobRunning:
+		return 2
+	case terminal(st):
+		return 3
+	}
+	return 0
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file

@@ -103,6 +103,12 @@ type Job struct {
 	events *eventLog
 	done   chan struct{} // closed when the job reaches a terminal state
 
+	// jmu serializes each snapshot-and-write of the journal record, and
+	// journaled is the lifecycle rank last written: a stale snapshot
+	// never overwrites a later one, so the record never moves backwards.
+	jmu       sync.Mutex
+	journaled int
+
 	mu         sync.Mutex
 	state      JobState
 	errMsg     string
@@ -299,8 +305,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mJournalCorrupt.Add(float64(corruptEntries))
 	for _, job := range s.recoverJobs(journaled) {
-		s.queue <- job
 		s.writeJournal(job)
+		s.queue <- job
 		s.mRecovered.Inc()
 	}
 	s.sweepJournal(journaled)
@@ -508,11 +514,11 @@ func (s *Server) Cancel(id string) bool {
 		j.errMsg = "canceled before start"
 		j.finished = time.Now()
 		j.mu.Unlock()
+		s.writeJournal(j)
 		j.events.close()
 		close(j.done)
 		s.mCanceled.Inc()
 		s.mCompleted.Inc()
-		s.writeJournal(j)
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -668,9 +674,10 @@ func (s *Server) runJob(job *Job) {
 	}
 	st := job.state
 	job.mu.Unlock()
+	// The terminal record lands before anyone can observe the job done.
+	s.writeJournal(job)
 	job.events.close()
 	close(job.done)
-	s.writeJournal(job)
 
 	s.mCompleted.Inc()
 	switch st {

@@ -19,13 +19,12 @@ import (
 
 // MultiCell is the cooperative fleet world: N airborne eNodeBs on one
 // EPC core, an interference graph over their shared (or separate)
-// carrier, an A3 handover engine, and a serving loop that mirrors
-// World.ServeTraffic step for step. The mirroring is the point: with a
-// single cell (or the separate-carrier plan) every interference
-// penalty is exactly zero and every RNG stream is consumed in the same
-// order, so the reports are byte-identical to the legacy single-UAV
-// path — the new subsystem extends the world without forking its
-// numbers.
+// carrier, an A3 handover engine, and the package's one serving loop.
+// The single-UAV World is the n=1 case: it embeds a one-cell MultiCell
+// and serves through the same loop. With no interferer (one cell, or
+// the separate-carrier plan) every penalty is exactly zero, so each
+// cell runs its fused scheduler TTI; co-channel fleets plan every cell,
+// then commit interference-degraded bits.
 type MultiCell struct {
 	Cfg     Config
 	NCells  int
@@ -36,37 +35,47 @@ type MultiCell struct {
 	Cells   []*enb.ENodeB
 	Graph   *interference.Graph
 	HO      *enb.HandoverEngine
-	Tracer  *trace.Recorder
 	Faults  *fault.Injector
 	Workers int
+
+	// Tracer, when non-nil, receives flight telemetry (World) and
+	// serving statistics.
+	Tracer *trace.Recorder
+
+	// Capture, when non-nil, records every packet serving phase's
+	// arrivals and phase-start UE positions for later replay. It never
+	// changes the run: a capturing run and a plain run produce
+	// byte-identical KPIs.
+	Capture *traffic.Capture
+
+	// replay holds the loaded trace when serving with Mode = replay
+	// (preloaded via SetReplayTrace or lazily from Spec.TraceFile).
+	replay *traffic.Trace
 
 	// Serving maps UE index to its current serving cell.
 	Serving []int
 	// Mobile, when true, steps UE mobility every 10 ms measurement
-	// tick during serving phases (the legacy world keeps UEs frozen
+	// tick during serving phases (the single-UAV world keeps UEs frozen
 	// while hovering; handovers need them to move).
 	Mobile bool
 
-	Clock float64
+	Clock float64 // simulated seconds
 
-	rng      *detrand.Rand // measurement noise (same stream id as World)
+	rng      *detrand.Rand // measurement noise, SRS channels
 	mrng     *detrand.Rand // mobility
 	placeRNG *detrand.Rand // k-means seeding for fleet placement
 
+	// servePhase counts serving phases so each epoch's arrival
+	// processes and fault plans draw from fresh (but reproducible)
+	// streams.
 	servePhase uint64
-
-	// legacyBits is a test hook: when set, CommitTTI runs with the
-	// interference-free bit mapping, giving the pre-SINR arithmetic to
-	// golden-diff the degraded path against.
-	legacyBits bool
 }
 
 // NewMultiCell builds a fleet world: n cells placed deterministically
-// (the single-cell fleet parks at the legacy spot — area centre, max
-// altitude; larger fleets start on k-means centroids of the UE field
-// refined by max-min SINR descent), every UE attached in index order
-// to its load-aware best cell. workers bounds the placement fan-out
-// and never changes results.
+// (a single cell parks at the area centre, max altitude; larger fleets
+// start on k-means centroids of the UE field refined by max-min SINR
+// descent), every UE attached in index order to its load-aware best
+// cell. workers bounds the placement fan-out and never changes results.
 func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConfig, ues []*ue.UE, workers int) (*MultiCell, error) {
 	if cfg.Terrain == nil {
 		return nil, fmt.Errorf("sim: Config.Terrain is required")
@@ -149,8 +158,8 @@ func (m *MultiCell) CellLoad() []int {
 // PlaceCells recomputes the fleet placement for the current UE field:
 // k-means centroids (seeded from the dedicated placement stream, so
 // measurement and mobility streams are untouched) lifted to maximum
-// altitude, refined by max-min SINR coordinate descent. The single-cell
-// fleet keeps the legacy spot untouched.
+// altitude, refined by max-min SINR coordinate descent. A single cell
+// stays where it is (the World moves it with the UAV).
 func (m *MultiCell) PlaceCells() error {
 	if m.NCells < 2 {
 		return nil
@@ -168,7 +177,7 @@ func (m *MultiCell) PlaceCells() error {
 	return err
 }
 
-// AvgThroughputBps mirrors World.AvgThroughputAt for the fleet: the
+// AvgThroughputBps is World.AvgThroughputAt for the fleet: the
 // mean over UEs of the PHY throughput at the fully-loaded wideband
 // SINR from each UE's serving cell.
 func (m *MultiCell) AvgThroughputBps() float64 {
@@ -232,8 +241,13 @@ func (m *MultiCell) transfer(i, to int) error {
 	return nil
 }
 
+// churnedSNRdB is the channel report a churned-out UE produces: far
+// below any decodable CQI, so the scheduler deallocates it until the
+// outage ends.
+const churnedSNRdB = -30
+
 // measuredSNR is the UE's noisy wideband report against its serving
-// cell — one normal draw per UE per tick, exactly like World.
+// cell — one normal draw per UE per tick.
 func (m *MultiCell) measuredSNR(i int) float64 {
 	return m.Graph.SNRdB(m.Serving[i], m.UEs[i].Pos) + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
 }
@@ -241,7 +255,7 @@ func (m *MultiCell) measuredSNR(i int) float64 {
 // reportTick runs one 10 ms measurement tick: optional mobility, noisy
 // serving-cell reports (churned or interrupted UEs report an
 // undecodable channel but still consume their noise draw, keeping the
-// stream aligned with the legacy world), then the A3 sweep with any
+// stream aligned across fault schedules), then the A3 sweep with any
 // triggered handovers executed inline.
 func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan) error {
 	if m.Mobile {
@@ -289,13 +303,10 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan) err
 }
 
 // bitsFor builds cell c's interference-degraded bit mapping for one
-// TTI given every cell's PRB occupancy. With one cell, the separate
-// plan, or no PRB overlap the penalty is exactly 0 and the mapping
-// returns the legacy CQI rate bit for bit.
+// TTI given every cell's PRB occupancy. Where an allocation overlaps no
+// interferer's PRBs the penalty is exactly 0 and the mapping returns
+// the interference-free CQI rate bit for bit.
 func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.Alloc) float64 {
-	if m.legacyBits {
-		return nil
-	}
 	return func(a enb.Alloc) float64 {
 		if a.N == 0 {
 			return 0
@@ -306,9 +317,10 @@ func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.A
 	}
 }
 
-// runTTI plans every cell, derives the fleet PRB occupancy, and
-// commits each cell's allocations with interference-degraded bits.
-func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(cell int, imsi epc.IMSI, bits float64)) {
+// runTTI runs one co-channel fleet TTI: plan every cell, derive the
+// fleet PRB occupancy, and commit each cell's allocations with
+// interference-degraded bits.
+func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(imsi epc.IMSI, bits float64)) {
 	plans := make([]*enb.TTIPlan, m.NCells)
 	occ := make([]int, m.NCells)
 	for c := range m.Cells {
@@ -316,12 +328,7 @@ func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(cell int, imsi epc
 		occ[c] = plans[c].OccupiedPRBs()
 	}
 	for c := range m.Cells {
-		var g func(epc.IMSI, float64)
-		if grant != nil {
-			cc := c
-			g = func(imsi epc.IMSI, bits float64) { grant(cc, imsi, bits) }
-		}
-		m.Cells[c].CommitTTI(plans[c], m.bitsFor(c, index, occ), g)
+		m.Cells[c].CommitTTI(plans[c], m.bitsFor(c, index, occ), grant)
 	}
 }
 
@@ -341,118 +348,127 @@ func (m *MultiCell) servedBits(i int) float64 {
 }
 
 // reportEvery returns how many TTI steps sit between 10 ms measurement
-// ticks for the given stride — the legacy cadence.
+// ticks for the given stride.
 func reportEvery(ttiStride int) int { return 10 / min(10, ttiStride) }
 
-// ServeSeconds mirrors World.ServeSeconds for the fleet: hover, 10 ms
-// report ticks (with mobility and handovers), interference-degraded
-// TTIs, per-UE served bits out.
+// ServeSeconds hovers at the current cell positions serving full-buffer
+// traffic for the given simulated duration: SNR reports (with mobility
+// and handovers) refresh every 10 ms and the scheduler runs every TTI.
+// It returns the per-UE served bits during the interval. ttiStride > 1
+// trades accuracy for speed by running one TTI per stride milliseconds
+// and scaling the credit.
 func (m *MultiCell) ServeSeconds(seconds float64, ttiStride int) ([]float64, error) {
-	var plan *fault.ServePlan
-	if m.Faults != nil {
-		plan = m.Faults.NewServePlan(m.Cfg.Seed, m.servePhase, len(m.UEs), seconds)
-		m.servePhase++
-	}
-	return m.serveSeconds(seconds, ttiStride, plan)
+	_, bits, err := m.serve(seconds, ttiStride, nil)
+	return bits, err
 }
 
-func (m *MultiCell) serveSeconds(seconds float64, ttiStride int, plan *fault.ServePlan) ([]float64, error) {
-	if ttiStride < 1 {
-		ttiStride = 1
-	}
-	startBits := make([]float64, len(m.UEs))
-	for i := range m.UEs {
-		startBits[i] = m.servedBits(i)
-	}
-	index := m.imsiIndex()
-	tti := float64(ttiStride) / 1000
-	steps := int(seconds * 1000 / float64(ttiStride))
-	every := reportEvery(ttiStride)
-	dt := float64(every) * tti
-	for s := 0; s < steps; s++ {
-		if s%every == 0 {
-			if err := m.reportTick(m.Clock, dt, float64(s)*tti, plan); err != nil {
-				return nil, err
-			}
-		}
-		m.runTTI(index, nil)
-		m.Clock += tti
-	}
-	out := make([]float64, len(m.UEs))
-	for i := range m.UEs {
-		out[i] = (m.servedBits(i) - startBits[i]) * float64(ttiStride)
-		if m.Tracer != nil {
-			m.Tracer.Emit(trace.Record{Kind: trace.KindServe, T: m.Clock, UE: m.UEs[i].ID, Value: out[i]})
-		}
-	}
-	return out, nil
-}
-
-// ServeTraffic mirrors World.ServeTraffic for the fleet: the same
-// arrival generator, GTP-U fault handling, bearer crediting and KPI
-// collection, with per-cell TTI planning and RB-overlap interference
-// degrading the committed bits. Handovers triggered by the 10 ms A3
-// sweep move live contexts between cells mid-phase; the bearer (and
-// its in-flight bytes) moves with the UE, so offered/delivered/dropped
-// packet accounting is conserved across handovers by construction.
+// ServeTraffic hovers at the current cell positions serving the given
+// workload: a seeded per-UE arrival process (or a recorded trace, in
+// replay mode) offers downlink packets through the EPC's GTP-U tunnels
+// into each UE's bearer, the scheduler runs every TTI, and its grants
+// drain the bearers packet by packet. It returns the per-UE KPI report
+// (throughput, queueing delay, loss; plus serving cell and handovers on
+// fleets). The full-buffer model serves as ServeSeconds does, with the
+// served bits reported as goodput.
+//
+// Determinism: arrivals come from per-UE streams derived from the
+// world seed and the serve-phase counter, merged on a (time, seq) event
+// heap; the loop is single-threaded and grants fire in cell then RNTI
+// order, so identical seeds and knobs yield byte-identical reports at
+// any host parallelism. Handovers triggered by the 10 ms A3 sweep move
+// live contexts between cells mid-phase; the bearer (and its in-flight
+// bytes) moves with the UE, so packet accounting is conserved across
+// handovers by construction. Timestamps are on the world clock, so a
+// backlog surviving into a later epoch still yields correct delays.
 func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
+	rep, _, err := m.serve(seconds, ttiStride, &spec)
+	return rep, err
+}
+
+// serve is the package's one serving loop. A nil spec is the
+// ServeSeconds mode: full-buffer, per-UE served bits out (the
+// ServedBits delta), no report. A full-buffer spec runs the same mode
+// and wraps the bits in a KPI report. Any other spec is packet mode:
+// arrivals are offered to the bearers and the grants drain them.
+func (m *MultiCell) serve(seconds float64, ttiStride int, spec *traffic.Spec) (*traffic.Report, []float64, error) {
 	if ttiStride < 1 {
 		ttiStride = 1
 	}
-	ids := make([]int, len(m.UEs))
-	for i, u := range m.UEs {
-		ids[i] = u.ID
-	}
-	col := traffic.NewCollector(spec.Model, ids)
-
-	startHO := make([]uint64, len(m.UEs))
-	for i := range m.UEs {
-		startHO[i] = m.HO.UESuccesses(i)
-	}
-
-	if spec.Model == traffic.ModelFullBuffer {
-		bits, err := m.ServeSeconds(seconds, ttiStride)
-		if err != nil {
-			return nil, err
-		}
-		for i, b := range bits {
-			col.FullBufferServed(i, b)
-		}
-		rep := col.Report(seconds, nil, nil)
-		m.stampCells(rep, startHO)
-		m.emitTraffic(rep, false)
-		return rep, nil
-	}
-
+	packets := spec != nil && (spec.Model != traffic.ModelFullBuffer || spec.Mode == traffic.ModeReplay)
+	// A packet phase always takes a serve phase (fresh arrival streams);
+	// a full-buffer phase takes one only for its fault plan.
+	// Checkpoints carry the counter, so both rules are wire form.
 	phase := m.servePhase
-	m.servePhase++
-	phaseSeed := m.Cfg.Seed + 0x9e3779b97f4a7c15*phase
+	if packets || m.Faults != nil {
+		m.servePhase++
+	}
 	var plan *fault.ServePlan
 	if m.Faults != nil {
 		plan = m.Faults.NewServePlan(m.Cfg.Seed, phase, len(m.UEs), seconds)
 	}
-	gen := traffic.NewGenerator(traffic.NewSources(spec, ids, phaseSeed, seconds))
-
-	// Bearer objects move between cells with their UE, so the slice
-	// built here stays valid across handovers.
-	bearers := make([]*enb.Bearer, len(m.UEs))
-	index := m.imsiIndex()
-	for i := range m.UEs {
-		b, ok := m.Cells[m.Serving[i]].Bearer(m.IMSIOf(i))
-		if !ok {
-			return nil, fmt.Errorf("sim: UE %d has no bearer", m.UEs[i].ID)
-		}
-		bearers[i] = b
+	ids := make([]int, len(m.UEs))
+	startHO := make([]uint64, len(m.UEs))
+	for i, u := range m.UEs {
+		ids[i] = u.ID
+		startHO[i] = m.HO.UESuccesses(i)
 	}
+	index := m.imsiIndex()
 
-	var startStarved []uint64
-	if m.Faults != nil {
-		startStarved = make([]uint64, len(m.UEs))
+	var (
+		col          *traffic.Collector
+		gen          traffic.Stream
+		rec          *traffic.Capture
+		bearers      []*enb.Bearer
+		startBits    []float64
+		startStarved []uint64
+	)
+	if packets {
+		model := spec.Model
+		if spec.Mode == traffic.ModeReplay {
+			ph, err := m.replayPhase(*spec, phase, seconds)
+			if err != nil {
+				return nil, nil, err
+			}
+			model = m.replay.Spec.Model
+			gen = ph.Stream()
+		} else {
+			gen = traffic.NewGenerator(traffic.NewSources(*spec, ids, m.Cfg.Seed+0x9e3779b97f4a7c15*phase, seconds))
+			rec = m.Capture
+		}
+		col = traffic.NewCollector(model, ids)
+		if rec != nil {
+			ues := make([]traffic.TraceUE, len(m.UEs))
+			for i, u := range m.UEs {
+				ues[i] = traffic.TraceUE{ID: u.ID, X: u.Pos.X, Y: u.Pos.Y}
+			}
+			rec.BeginPhase(seconds, ues)
+		}
+		// Bearer objects move between cells with their UE, so the slice
+		// built here stays valid across handovers.
+		bearers = make([]*enb.Bearer, len(m.UEs))
 		for i := range m.UEs {
-			startStarved[i] = m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))
+			b, ok := m.Cells[m.Serving[i]].Bearer(m.IMSIOf(i))
+			if !ok {
+				return nil, nil, fmt.Errorf("sim: UE %d has no bearer", m.UEs[i].ID)
+			}
+			bearers[i] = b
+		}
+		// Under fault injection the report carries each UE's starved-TTI
+		// delta (scheduler TTIs spent undecodable with data queued) — the
+		// eNodeB-side view of churn and loss windows.
+		if m.Faults != nil {
+			startStarved = make([]uint64, len(m.UEs))
+			for i := range m.UEs {
+				startStarved[i] = m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))
+			}
+		}
+	} else {
+		startBits = make([]float64, len(m.UEs))
+		for i := range m.UEs {
+			startBits[i] = m.servedBits(i)
 		}
 	}
 
@@ -462,20 +478,45 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 	steps := int(seconds * 1000 / float64(ttiStride))
 	every := reportEvery(ttiStride)
 	dt := float64(every) * tti
+	// With no interferer anywhere every penalty is exactly zero, so each
+	// cell runs its fused plan-and-commit TTI.
+	isolated := len(m.Graph.Interferers(0)) == 0
+	var done float64 // end of the current TTI, when its grants deliver
+	var grant func(epc.IMSI, float64)
+	if packets {
+		grant = func(imsi epc.IMSI, bits float64) {
+			i := index[imsi]
+			for _, d := range bearers[i].CreditAt(bits*float64(ttiStride), done) {
+				col.Delivered(i, len(d.Data), done-d.EnqueuedAt)
+			}
+		}
+	}
 	for s := 0; s < steps; s++ {
 		now := start + float64(s)*tti
+		if !packets {
+			now = m.Clock // full-buffer phases time handovers on the running clock
+		}
 		if s%every == 0 {
 			if err := m.reportTick(now, dt, float64(s)*tti, plan); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		// Enqueue everything arriving during this TTI before its grants.
-		for {
+		for packets {
 			a, ok := gen.Pop(float64(s+1) * tti)
 			if !ok {
 				break
 			}
+			// Capture upstream of the fault plan and the bearer path: the
+			// trace records the offered workload itself, and replay re-runs
+			// faults and queueing against the same derived streams.
+			if rec != nil {
+				rec.Arrival(a)
+			}
 			col.Offered(a.UE, a.Bytes)
+			// Serving-phase faults act on the GTP-U leg: a packet for a
+			// churned-out UE or one landing in a loss window never
+			// reaches the bearer; a duplicated packet reaches it twice.
 			if plan.ChurnedOut(a.UE, a.T) {
 				col.FaultDropped(a.UE, a.Bytes)
 				plan.NoteChurnDrop()
@@ -501,40 +542,100 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 						col.Dropped(a.UE, a.Bytes)
 					}
 				default:
-					return nil, fmt.Errorf("sim: delivering to UE %d: %w", m.UEs[a.UE].ID, err)
+					return nil, nil, fmt.Errorf("sim: delivering to UE %d: %w", m.UEs[a.UE].ID, err)
 				}
 			}
 		}
-		done := now + tti
-		m.runTTI(index, func(_ int, imsi epc.IMSI, bits float64) {
-			i := index[imsi]
-			for _, d := range bearers[i].CreditAt(bits*float64(ttiStride), done) {
-				col.Delivered(i, len(d.Data), done-d.EnqueuedAt)
+		done = now + tti
+		if isolated {
+			for _, cell := range m.Cells {
+				cell.RunTTIFunc(grant)
 			}
-		})
+		} else {
+			m.runTTI(index, grant)
+		}
 		m.Clock += tti
 	}
 
-	backlog := make([]int, len(bearers))
-	peak := make([]int, len(bearers))
-	for i, b := range bearers {
-		backlog[i] = b.QueuedPackets()
-		peak[i] = b.PeakQueue()
-	}
-	if startStarved != nil {
+	var backlog, peak []int
+	if packets {
+		backlog = make([]int, len(bearers))
+		peak = make([]int, len(bearers))
+		for i, b := range bearers {
+			backlog[i] = b.QueuedPackets()
+			peak[i] = b.PeakQueue()
+		}
+		if startStarved != nil {
+			for i := range m.UEs {
+				col.Starved(i, m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))-startStarved[i])
+			}
+		}
+	} else {
+		bits := make([]float64, len(m.UEs))
 		for i := range m.UEs {
-			col.Starved(i, m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))-startStarved[i])
+			bits[i] = (m.servedBits(i) - startBits[i]) * float64(ttiStride)
+			if m.Tracer != nil {
+				m.Tracer.Emit(trace.Record{Kind: trace.KindServe, T: m.Clock, UE: m.UEs[i].ID, Value: bits[i]})
+			}
+		}
+		if spec == nil {
+			return nil, bits, nil
+		}
+		col = traffic.NewCollector(spec.Model, ids)
+		for i, b := range bits {
+			col.FullBufferServed(i, b)
 		}
 	}
 	rep := col.Report(seconds, backlog, peak)
 	m.stampCells(rep, startHO)
-	m.emitTraffic(rep, true)
-	return rep, nil
+	m.emitTraffic(rep, packets)
+	return rep, nil, nil
+}
+
+// SetReplayTrace preloads the trace used when serving with
+// Spec.Mode = replay, bypassing the lazy TraceFile load. Scenario runs
+// preload so fingerprint verification happens before any simulation.
+func (m *MultiCell) SetReplayTrace(tr *traffic.Trace) { m.replay = tr }
+
+// replayPhase resolves the recorded phase for the current serve-phase
+// counter: it lazily loads Spec.TraceFile on first use, checks the
+// phase's duration, UE field and arrivals against the live run, and
+// moves every UE to its recorded phase-start position so the radio
+// streams see the same geometry the capturing run did.
+func (m *MultiCell) replayPhase(spec traffic.Spec, phase uint64, seconds float64) (*traffic.TracePhase, error) {
+	if m.replay == nil {
+		tr, err := traffic.ReadTraceFile(spec.TraceFile)
+		if err != nil {
+			return nil, err
+		}
+		m.replay = tr
+	}
+	ph, err := m.replay.Phase(phase)
+	if err != nil {
+		return nil, err
+	}
+	if ph.Seconds != seconds {
+		return nil, fmt.Errorf("sim: replay phase %d recorded %gs, run serves %gs", phase, ph.Seconds, seconds)
+	}
+	if len(ph.UEs) != len(m.UEs) {
+		return nil, fmt.Errorf("sim: replay phase %d recorded %d UEs, world has %d", phase, len(ph.UEs), len(m.UEs))
+	}
+	if err := ph.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: replay phase %d: %w", phase, err)
+	}
+	for i, tu := range ph.UEs {
+		if m.UEs[i].ID != tu.ID {
+			return nil, fmt.Errorf("sim: replay phase %d UE index %d recorded ID %d, world has %d",
+				phase, i, tu.ID, m.UEs[i].ID)
+		}
+		m.UEs[i].Pos = geom.V2(tu.X, tu.Y)
+	}
+	return ph, nil
 }
 
 // stampCells fills the multi-cell KPI columns: the UE's serving cell
-// (1-based, so the field stays off the wire in single-cell runs and
-// legacy rows are byte-identical) and its handover count this phase.
+// (1-based, so the field stays off the wire in single-cell runs) and
+// its handover count this phase.
 func (m *MultiCell) stampCells(rep *traffic.Report, startHO []uint64) {
 	if m.NCells < 2 {
 		return
@@ -545,10 +646,13 @@ func (m *MultiCell) stampCells(rep *traffic.Report, startHO []uint64) {
 	}
 }
 
-// FaultCounts returns the cumulative injected-fault counters.
+// FaultCounts returns the cumulative injected-fault and degradation
+// counters (zero without an active injector).
 func (m *MultiCell) FaultCounts() fault.Counts { return m.Faults.Counts() }
 
-// emitTraffic mirrors World.emitTraffic.
+// emitTraffic publishes per-UE traffic KPIs to the tracer. withServe
+// additionally emits the KindServe records (delivered bits) that the
+// full-buffer mode already emitted from its served-bit deltas.
 func (m *MultiCell) emitTraffic(rep *traffic.Report, withServe bool) {
 	if m.Tracer == nil {
 		return

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/enb"
@@ -32,9 +34,22 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// Backward-compat golden: a single-cell fleet run through the SINR
-// path must produce byte-identical KPI rows to the legacy single-UAV
-// world — the new subsystem may not move any existing number.
+// golden compares v's JSON encoding with the recorded bytes in
+// testdata/name.
+func golden(t *testing.T, name string, v any) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustJSON(t, v) + "\n"; got != string(want) {
+		t.Errorf("%s: report diverged from the recorded bytes:\nwant %s\ngot  %s", name, want, got)
+	}
+}
+
+// Backward-compat golden: the single-UAV world and a single-cell fleet
+// must both reproduce the KPI rows recorded before the world started
+// serving through the fleet loop — no existing number may move.
 func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 	for _, model := range []traffic.Model{traffic.ModelPoisson, traffic.ModelFullBuffer} {
 		surf := terrain.ByName("FLAT", 11)
@@ -56,37 +71,30 @@ func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := mustJSON(t, legacy), mustJSON(t, got); a != b {
-			t.Errorf("%s: single-cell fleet diverged from legacy world:\nlegacy %s\nfleet  %s", model, a, b)
-		}
+		name := "single_cell_" + string(model) + ".json"
+		golden(t, name, legacy)
+		golden(t, name, got)
 		if w.Clock != m.Clock {
 			t.Errorf("%s: clock diverged: %v vs %v", model, w.Clock, m.Clock)
 		}
 	}
 }
 
-// Separate-carrier golden: with no shared spectrum the interference-
-// degraded bit mapping must equal the legacy CQI arithmetic bit for
-// bit (penalty identically zero), pinned by diffing the degraded path
-// against the legacyBits hook.
+// Separate-carrier golden: with no shared spectrum every interference
+// penalty is zero, so the fleet must reproduce the KPI rows recorded
+// from the interference-free CQI arithmetic.
 func TestSeparateCarriersMatchLegacyBits(t *testing.T) {
-	build := func(legacy bool) *traffic.Report {
-		surf := terrain.ByName("FLAT", 13)
-		cfg := Config{Terrain: surf, Seed: 13, FastRanging: true}
-		m, err := NewMultiCell(cfg, 3, interference.PlanSeparate, enb.DefaultHandoverConfig(), flatUEs(surf, 8), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.legacyBits = legacy
-		rep, err := m.ServeTraffic(2, 10, traffic.Spec{Model: traffic.ModelCBR, RateBps: 1e6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	surf := terrain.ByName("FLAT", 13)
+	cfg := Config{Terrain: surf, Seed: 13, FastRanging: true}
+	m, err := NewMultiCell(cfg, 3, interference.PlanSeparate, enb.DefaultHandoverConfig(), flatUEs(surf, 8), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := mustJSON(t, build(true)), mustJSON(t, build(false)); a != b {
-		t.Errorf("separate-carrier SINR path diverged from legacy bits:\nlegacy %s\nsinr   %s", a, b)
+	rep, err := m.ServeTraffic(2, 10, traffic.Spec{Model: traffic.ModelCBR, RateBps: 1e6})
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden(t, "separate_carriers_cbr.json", rep)
 }
 
 // handoverFleet builds a 2-cell co-channel fleet with one mobile UE
@@ -249,5 +257,29 @@ func TestReselectLoadBalances(t *testing.T) {
 	// The context moved intact: the new cell can serve it.
 	if _, ok := m.Cells[rightCell].Bearer(m.IMSIOf(2)); !ok {
 		t.Fatal("bearer did not move with reselection")
+	}
+}
+
+// A replayed trace is outside input: an arrival naming a UE the phase
+// lacks must fail the serving phase with an error, not index past the
+// bearers.
+func TestReplayRejectsOutOfRangeArrival(t *testing.T) {
+	surf := terrain.ByName("FLAT", 11)
+	w, err := New(Config{Terrain: surf, Seed: 11, FastRanging: true}, flatUEs(surf, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ues []traffic.TraceUE
+	for _, u := range w.UEs {
+		ues = append(ues, traffic.TraceUE{ID: u.ID, X: u.Pos.X, Y: u.Pos.Y})
+	}
+	w.SetReplayTrace(&traffic.Trace{Phases: []traffic.TracePhase{{
+		Seconds:  1,
+		UEs:      ues,
+		Arrivals: []traffic.Arrival{{UE: 2, T: 0.1, Bytes: 100}},
+	}}})
+	spec := traffic.Spec{Model: traffic.ModelPoisson, RateBps: 1e5, Mode: traffic.ModeReplay, TraceFile: "preloaded"}
+	if _, err := w.ServeTraffic(1, 10, spec); err == nil {
+		t.Fatal("replay of an arrival for UE index 2 of a 2-UE phase was accepted")
 	}
 }

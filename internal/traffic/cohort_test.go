@@ -245,3 +245,37 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal("phase past end accepted")
 	}
 }
+
+// A trace file is outside input: a well-formed container whose arrivals
+// name a UE the phase lacks, carry an impossible packet size, or land
+// at a bad time must be rejected at load, never reach the serving loop.
+func TestReadTraceFileRejectsBadArrivals(t *testing.T) {
+	spec := normalized(t, Spec{Model: ModelPoisson, RateBps: 1e5})
+	ok := Arrival{UE: 0, T: 0.5, Bytes: 100}
+	for _, tc := range []struct {
+		name string
+		bad  Arrival
+	}{
+		{"negative UE", Arrival{UE: -1, T: 1, Bytes: 100}},
+		{"UE past the phase", Arrival{UE: 2, T: 1, Bytes: 100}},
+		{"empty packet", Arrival{UE: 1, T: 1, Bytes: 0}},
+		{"oversized packet", Arrival{UE: 1, T: 1, Bytes: 70000}},
+		{"NaN time", Arrival{UE: 1, T: math.NaN(), Bytes: 100}},
+		{"infinite time", Arrival{UE: 1, T: math.Inf(1), Bytes: 100}},
+		{"negative time", Arrival{UE: 1, T: -0.1, Bytes: 100}},
+		{"time past the phase", Arrival{UE: 1, T: 2, Bytes: 100}},
+		{"out of order", Arrival{UE: 1, T: 0.25, Bytes: 100}},
+	} {
+		cap := NewCapture(spec, 0xfeed)
+		cap.BeginPhase(2, []TraceUE{{ID: 1}, {ID: 2}})
+		cap.Arrival(ok)
+		cap.Arrival(tc.bad)
+		path := filepath.Join(t.TempDir(), "trace.skyr")
+		if _, err := cap.Trace.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTraceFile(path); err == nil {
+			t.Errorf("%s: trace with arrival %+v accepted", tc.name, tc.bad)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/checkpoint"
 )
@@ -112,7 +113,41 @@ func ReadTraceFile(path string) (*Trace, error) {
 	if len(tr.Phases) != meta.Phases {
 		return nil, fmt.Errorf("traffic: trace declares %d phases, carries %d", meta.Phases, len(tr.Phases))
 	}
+	for i := range tr.Phases {
+		if err := tr.Phases[i].Validate(); err != nil {
+			return nil, fmt.Errorf("traffic: trace phase %d: %w", i, err)
+		}
+	}
 	return tr, nil
+}
+
+// maxTracePacketBytes is the largest packet a trace may carry — the
+// Spec.PacketBytes bound. The lower bound is one byte, not the spec's
+// 20: the web model's last packet of a flow carries the flow's
+// remainder, so faithful captures hold shorter packets.
+const maxTracePacketBytes = 65000
+
+// Validate checks that the phase can be served: every arrival names a
+// UE of the phase, carries 1..65000 bytes, and lands at a finite time
+// inside [0, Seconds) in non-decreasing order. A trace file is outside
+// input; an arrival failing these checks would otherwise index past the
+// serving loop's bearers or payload buffer.
+func (p *TracePhase) Validate() error {
+	prev := 0.0
+	for k, a := range p.Arrivals {
+		switch {
+		case a.UE < 0 || a.UE >= len(p.UEs):
+			return fmt.Errorf("arrival %d: UE index %d outside [0, %d)", k, a.UE, len(p.UEs))
+		case a.Bytes < 1 || a.Bytes > maxTracePacketBytes:
+			return fmt.Errorf("arrival %d: %d bytes outside [1, %d]", k, a.Bytes, maxTracePacketBytes)
+		case math.IsNaN(a.T) || math.IsInf(a.T, 0) || a.T < 0 || a.T >= p.Seconds:
+			return fmt.Errorf("arrival %d: time %g outside [0, %g)", k, a.T, p.Seconds)
+		case a.T < prev:
+			return fmt.Errorf("arrival %d: time %g before the previous arrival's %g", k, a.T, prev)
+		}
+		prev = a.T
+	}
+	return nil
 }
 
 func gobTrace(v any) ([]byte, error) {
