@@ -3,10 +3,34 @@ package locate
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/ranging"
 )
+
+// flightScan holds what the offset scan needs of one UE's flight that
+// does not depend on the candidate offset b, computed once per scan.
+type flightScan struct {
+	ts         []ranging.Tuple
+	degenerate bool      // aperture under 1 m
+	centroid   geom.Vec2 // mean horizontal UAV position
+	sorted     []float64 // RangeM ascending
+}
+
+func newFlightScan(ts []ranging.Tuple) flightScan {
+	f := flightScan{ts: ts, degenerate: flightAperture(ts) < 1}
+	if f.degenerate {
+		return f
+	}
+	f.centroid = centroid(ts)
+	f.sorted = make([]float64, len(ts))
+	for i, tp := range ts {
+		f.sorted[i] = tp.RangeM
+	}
+	sort.Float64s(f.sorted)
+	return f
+}
 
 // scanOffset coarse-to-fine scans the shared offset b. For each
 // candidate b it solves every UE by fixed-offset trilateration and
@@ -17,10 +41,12 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 	// bounds b above (true distance is positive); below, allow the
 	// offset to be negative by up to the area diagonal.
 	minR := math.Inf(1)
-	for _, ts := range perUE {
+	flights := make([]flightScan, len(perUE))
+	for i, ts := range perUE {
 		for _, tp := range ts {
 			minR = math.Min(minR, tp.RangeM)
 		}
+		flights[i] = newFlightScan(ts)
 	}
 	span := 300.0
 	if opts.Bounds.Area() > 0 {
@@ -40,8 +66,8 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 		if pr := opts.OffsetPrior; pr != nil && pr.SigmaM > 0 {
 			total += (b - pr.MeanM) * (b - pr.MeanM) / (pr.SigmaM * pr.SigmaM)
 		}
-		for i, ts := range perUE {
-			x, y, cost, err := solveFixedOffset(ts, b, opts)
+		for i := range flights {
+			x, y, cost, err := solveFixedOffset(&flights[i], b, opts)
 			if err != nil {
 				return 0, err
 			}
@@ -77,32 +103,14 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 
 // solveFixedOffset runs 2-unknown trilateration for one UE with the
 // offset pinned at b, multi-starting around the flight like Solve.
-func solveFixedOffset(ts []ranging.Tuple, b float64, opts Options) (x, y, cost float64, err error) {
-	if flightAperture(ts) < 1 {
+func solveFixedOffset(f *flightScan, b float64, opts Options) (x, y, cost float64, err error) {
+	if f.degenerate {
 		return 0, 0, 0, ErrDegenerateGeometry
 	}
-	var c geom.Vec2
-	for _, tp := range ts {
-		c = c.Add(tp.UAVPos.XY())
-	}
-	c = c.Scale(1 / float64(len(ts)))
-	ranges := make([]float64, 0, len(ts))
-	for _, tp := range ts {
-		ranges = append(ranges, tp.RangeM-b)
-	}
-	ring := math.Max(median(ranges)*0.8, 5)
-	inits := []geom.Vec2{c}
-	for a := 0; a < 8; a++ {
-		th := float64(a) * math.Pi / 4
-		p := c.Add(geom.V2(math.Cos(th), math.Sin(th)).Scale(ring))
-		if opts.Bounds.Area() > 0 {
-			p = opts.Bounds.Clamp(p)
-		}
-		inits = append(inits, p)
-	}
+	ring := math.Max(shiftedMedian(f.sorted, b)*0.8, 5)
 	bestCost := math.Inf(1)
-	for _, init := range inits {
-		xx, yy, cc, e := descendFixedOffset(ts, b, opts, init)
+	for _, init := range multiStarts(f.centroid, ring, opts) {
+		xx, yy, cc, e := descendFixedOffset(f.ts, b, opts, init)
 		if e != nil {
 			err = e
 			continue
@@ -193,6 +201,9 @@ func SolveJoint(perUE [][]ranging.Tuple, opts Options) ([]Result, error) {
 	for i, ts := range perUE {
 		if len(ts) < 4 {
 			return nil, fmt.Errorf("locate: UE %d: %w", i, ErrInsufficientData)
+		}
+		if err := checkFinite(ts); err != nil {
+			return nil, fmt.Errorf("locate: UE %d: %w", i, err)
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/ranging"
@@ -88,6 +89,25 @@ var ErrInsufficientData = errors.New("locate: need at least 4 GPS-ToF tuples")
 // unobservable (any bearing fits).
 var ErrDegenerateGeometry = errors.New("locate: flight trajectory spans < 1 m, geometry unobservable")
 
+// ErrNonFiniteRange is returned when a tuple's range or UAV position
+// is NaN or infinite: such a tuple has no place in a least-squares fit
+// and would otherwise poison every residual it touches.
+var ErrNonFiniteRange = errors.New("locate: GPS-ToF tuple has a NaN or infinite range or position")
+
+// checkFinite reports ErrNonFiniteRange when any tuple carries a
+// non-finite range or UAV coordinate.
+func checkFinite(tuples []ranging.Tuple) error {
+	for _, tp := range tuples {
+		p := tp.UAVPos
+		if !finite(tp.RangeM) || !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return ErrNonFiniteRange
+		}
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // flightAperture returns the diagonal of the bounding box of the UAV
 // positions — the geometric aperture of the synthetic array.
 func flightAperture(tuples []ranging.Tuple) float64 {
@@ -120,30 +140,19 @@ func Solve(tuples []ranging.Tuple, opts Options) (Result, error) {
 	if len(tuples) < 4 {
 		return Result{}, ErrInsufficientData
 	}
+	if err := checkFinite(tuples); err != nil {
+		return Result{}, err
+	}
 	if flightAperture(tuples) < 1 {
 		return Result{}, ErrDegenerateGeometry
 	}
-
-	var c geom.Vec2
-	for _, tp := range tuples {
-		c = c.Add(tp.UAVPos.XY())
-	}
-	c = c.Scale(1 / float64(len(tuples)))
 
 	ranges := make([]float64, 0, len(tuples))
 	for _, tp := range tuples {
 		ranges = append(ranges, tp.RangeM)
 	}
-	ring := median(ranges) * 0.8 // offset b is unknown, stay inside it
-	inits := []geom.Vec2{c}
-	for a := 0; a < 8; a++ {
-		th := float64(a) * math.Pi / 4
-		p := c.Add(geom.V2(math.Cos(th), math.Sin(th)).Scale(ring))
-		if opts.Bounds.Area() > 0 {
-			p = opts.Bounds.Clamp(p)
-		}
-		inits = append(inits, p)
-	}
+	// offset b is unknown, stay inside the median range
+	inits := multiStarts(centroid(tuples), median(ranges)*0.8, opts)
 
 	best := Result{}
 	bestCost := math.Inf(1)
@@ -175,6 +184,31 @@ func Solve(tuples []ranging.Tuple, opts Options) (Result, error) {
 		}
 	}
 	return best, nil
+}
+
+// centroid returns the mean horizontal UAV position of the flight.
+func centroid(tuples []ranging.Tuple) geom.Vec2 {
+	var c geom.Vec2
+	for _, tp := range tuples {
+		c = c.Add(tp.UAVPos.XY())
+	}
+	return c.Scale(1 / float64(len(tuples)))
+}
+
+// multiStarts returns the descent starting points: the flight centroid
+// c plus eight candidates on a ring of radius ring around it, clamped
+// to the operating area when one is set.
+func multiStarts(c geom.Vec2, ring float64, opts Options) [9]geom.Vec2 {
+	inits := [9]geom.Vec2{c}
+	for a := 0; a < 8; a++ {
+		th := float64(a) * math.Pi / 4
+		p := c.Add(geom.V2(math.Cos(th), math.Sin(th)).Scale(ring))
+		if opts.Bounds.Area() > 0 {
+			p = opts.Bounds.Clamp(p)
+		}
+		inits[a+1] = p
+	}
+	return inits
 }
 
 // trimOutliers returns the tuples whose residual under res is within
@@ -347,20 +381,24 @@ func solve3(a [3][3]float64, rhs [3]float64) ([3]float64, bool) {
 	return [3]float64{m[0][3], m[1][3], m[2][3]}, true
 }
 
+// median returns the median of xs without modifying it.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	cp := append([]float64(nil), xs...)
-	// Insertion sort: n is small (tuple counts are hundreds at most).
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	n := len(cp)
+	sort.Float64s(cp)
+	return shiftedMedian(cp, 0)
+}
+
+// shiftedMedian returns the median of s[i] − b for an ascending,
+// non-empty, NaN-free s. Rounding is monotone, so s[i] − b is ascending
+// too and its middle elements are the shifted middle elements of s:
+// the result is bit-identical to sorting the shifted copy.
+func shiftedMedian(s []float64, b float64) float64 {
+	n := len(s)
 	if n%2 == 1 {
-		return cp[n/2]
+		return s[n/2] - b
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	return ((s[n/2-1] - b) + (s[n/2] - b)) / 2
 }

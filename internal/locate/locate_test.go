@@ -1,6 +1,7 @@
 package locate
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,12 +272,56 @@ func TestSolve3(t *testing.T) {
 	}
 }
 
+// A NaN or infinite tuple is rejected up front by both solvers instead
+// of flowing into the median and the descent.
+func TestNonFiniteRangeRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		name   string
+		poison func(*ranging.Tuple)
+	}{
+		{"nan-range", func(tp *ranging.Tuple) { tp.RangeM = math.NaN() }},
+		{"inf-pos", func(tp *ranging.Tuple) { tp.UAVPos.Y = math.Inf(-1) }},
+	} {
+		perUE := jointFlights([]geom.Vec2{geom.V2(180, 90), geom.V2(60, 200)}, 30, 1, 40, rng)
+		c.poison(&perUE[1][17])
+		if _, err := Solve(perUE[0], Options{}); err != nil {
+			t.Errorf("%s: clean UE rejected: %v", c.name, err)
+		}
+		if _, err := Solve(perUE[1], Options{}); !errors.Is(err, ErrNonFiniteRange) {
+			t.Errorf("%s: Solve error = %v, want ErrNonFiniteRange", c.name, err)
+		}
+		if _, err := SolveJoint(perUE, Options{}); !errors.Is(err, ErrNonFiniteRange) {
+			t.Errorf("%s: SolveJoint error = %v, want ErrNonFiniteRange", c.name, err)
+		}
+		if _, err := SolveJointRobust(perUE, Options{}); !errors.Is(err, ErrNonFiniteRange) {
+			t.Errorf("%s: SolveJointRobust error = %v, want ErrNonFiniteRange", c.name, err)
+		}
+	}
+}
+
 func BenchmarkSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ts := makeFlight(geom.V2(180, 90), 1.5, 30, 4, 120, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(ts, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveJoint localizes 6 UEs from one flight with 150 tuples
+// each, the count a 25 m localization flight collects at 8.33 m/s and
+// one GPS fix per 20 ms.
+func BenchmarkSolveJoint(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ues := []geom.Vec2{geom.V2(60, 60), geom.V2(220, 70), geom.V2(150, 230), geom.V2(40, 180), geom.V2(200, 200), geom.V2(250, 140)}
+	perUE := jointFlights(ues, 42, 4.5, 150, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveJoint(perUE, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

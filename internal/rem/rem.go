@@ -182,7 +182,11 @@ func (m *Map) Interpolate() error {
 		buckets[by*bucketsPerSide+bx] = append(buckets[by*bucketsPerSide+bx], i)
 	}
 
-	const minNeighbors = 6
+	// The neighbour list of a cell depends only on its bucket, so each
+	// bucket's list is gathered once, on first use, and shared by every
+	// cell in that bucket.
+	neighbours := make([][]int, bucketsPerSide*bucketsPerSide)
+	gathered := make([]bool, len(neighbours))
 	for cy := 0; cy < m.grid.NY; cy++ {
 		for cx := 0; cx < m.grid.NX; cx++ {
 			i := cy*m.grid.NX + cx
@@ -191,23 +195,12 @@ func (m *Map) Interpolate() error {
 			}
 			c := m.grid.CellCenter(cx, cy)
 			bx, by := bidx(c.X, c.Y)
-			// Expand bucket rings until enough neighbours are found,
-			// then take one extra ring so no nearer point in a
-			// diagonal bucket is missed.
-			var idxs []int
-			lastRing := -1 // ring index after which to stop
-			for r := 0; r < 2*bucketsPerSide; r++ {
-				added := collectRing(buckets, bucketsPerSide, bx, by, r, &idxs)
-				if added < 0 && len(idxs) > 0 {
-					break // ring fully outside the index; no more points anywhere
-				}
-				if lastRing < 0 && len(idxs) >= minNeighbors {
-					lastRing = r + 1
-				}
-				if lastRing >= 0 && r >= lastRing {
-					break
-				}
+			bi := by*bucketsPerSide + bx
+			if !gathered[bi] {
+				neighbours[bi] = ringNeighbours(buckets, bucketsPerSide, bx, by)
+				gathered[bi] = true
 			}
+			idxs := neighbours[bi]
 			var num, den float64
 			exact := false
 			nearest2 := 1e300
@@ -250,6 +243,29 @@ func (m *Map) Interpolate() error {
 		}
 	}
 	return nil
+}
+
+// ringNeighbours expands bucket rings around (bx, by) until enough
+// neighbours are found, then takes one extra ring so no nearer point in
+// a diagonal bucket is missed. It returns the gathered point indices in
+// ring order.
+func ringNeighbours(buckets [][]int, n, bx, by int) []int {
+	const minNeighbors = 6
+	var idxs []int
+	lastRing := -1 // ring index after which to stop
+	for r := 0; r < 2*n; r++ {
+		added := collectRing(buckets, n, bx, by, r, &idxs)
+		if added < 0 && len(idxs) > 0 {
+			break // ring fully outside the index; no more points anywhere
+		}
+		if lastRing < 0 && len(idxs) >= minNeighbors {
+			lastRing = r + 1
+		}
+		if lastRing >= 0 && r >= lastRing {
+			break
+		}
+	}
+	return idxs
 }
 
 // collectRing appends the point indices of the bucket ring at radius r
