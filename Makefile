@@ -17,8 +17,9 @@
 #                        partition one worker mid-campaign (breaker opens,
 #                        shards resteal), then SIGKILL the coordinator and
 #                        recover from its journal — bytes identical throughout
-#   make fuzz-smoke  short native-fuzz pass over the specfile decoder and
-#                    the checkpoint container reader (seeds + corpora)
+#   make fuzz-smoke  short native-fuzz pass over the specfile decoder,
+#                    the checkpoint container reader and the journal
+#                    record reader (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 #   make bench-traffic  record BENCH_traffic.json via skyrbench vs skyrand,
@@ -71,6 +72,7 @@ chaosnet-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/specfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime 10s ./internal/checkpoint
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

@@ -54,6 +54,9 @@ const (
 	// KindCampaignJournal is a cluster coordinator's durable campaign
 	// lifecycle record (template, seed set, per-seed progress).
 	KindCampaignJournal = "skyran/campaign-journal"
+	// KindJobJournal is a daemon's durable job lifecycle record (spec,
+	// state, idempotency key).
+	KindJobJournal = "skyran/job-journal"
 )
 
 // Distinct failure classes, so callers (and operators reading daemon
@@ -328,51 +331,40 @@ func applyWriteFault(path string, data []byte) ([]byte, error) {
 	return f(path, data)
 }
 
-// WriteRawFileAtomic commits arbitrary bytes to path via a
-// same-directory temp file, fsync and rename, so readers (and a
-// post-crash recovery scan) never observe a torn file. Every durable
-// artifact in the tree — checkpoints, job journals, campaign journals
-// — funnels through here, which is also where the disk chaos hook
-// taps in.
-func WriteRawFileAtomic(path string, data []byte) error {
-	data, err := applyWriteFault(path, data)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: syncing %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("checkpoint: committing %s: %w", path, err)
-	}
-	return nil
-}
-
-// WriteFileAtomic commits the container to path atomically: encode,
-// write to a temp file in the same directory, fsync, rename. It
-// returns the encoded size.
+// WriteFileAtomic commits the container to path via a same-directory
+// temp file, fsync and rename, so readers (and a post-crash recovery
+// scan) never observe a torn file. It returns the encoded size. Every
+// durable artifact in the tree — checkpoints, job journals, campaign
+// journals — funnels through here, which is also where the disk chaos
+// hook taps in.
 func WriteFileAtomic(path string, c *Container) (int64, error) {
 	b, err := c.Encode()
 	if err != nil {
 		return 0, err
 	}
-	if err := WriteRawFileAtomic(path, b); err != nil {
+	data, err := applyWriteFault(path, b)
+	if err != nil {
 		return 0, err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: creating temp file: %w", err)
+	}
+	tmpName := tmp.Name()
+	defer os.Remove(tmpName) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("checkpoint: syncing %s: %w", tmpName, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, fmt.Errorf("checkpoint: closing %s: %w", tmpName, err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		return 0, fmt.Errorf("checkpoint: committing %s: %w", path, err)
 	}
 	return int64(len(b)), nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -62,6 +63,46 @@ func FuzzDecode(f *testing.F) {
 			if got.Name != sec.Name || !bytes.Equal(got.Data, sec.Data) {
 				t.Fatalf("round trip changed section %q", sec.Name)
 			}
+		}
+	})
+}
+
+// FuzzJournalRecord drives the journal record reader — the verifier
+// behind both the job and the campaign journal's Load — with arbitrary
+// bytes. It must return a record or an error, never panic, and a record
+// it accepts must re-encode to bytes it accepts again unchanged.
+func FuzzJournalRecord(f *testing.F) {
+	jl := &Journal{prefix: "j", kind: KindJobJournal, version: 1}
+	good := New(KindJobJournal, 1, 0)
+	good.Add("job", []byte(`{"id":"j1","spec":{"seed":7},"state":"queued"}`))
+	if b, err := good.Encode(); err == nil {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		flipped := append([]byte(nil), b...)
+		flipped[len(flipped)/2] ^= 0x01
+		f.Add(flipped)
+	}
+	for _, c := range []*Container{New(KindCampaignJournal, 1, 9), New(KindJobJournal, 2, 0)} {
+		if b, err := c.Encode(); err == nil {
+			f.Add(b)
+		}
+	}
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		box, err := jl.decode(data)
+		if err != nil {
+			return
+		}
+		b, err := box.Encode()
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		again, err := jl.decode(b)
+		if err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, box) {
+			t.Fatal("round trip changed the record")
 		}
 	})
 }

@@ -42,6 +42,29 @@ func TestScrubReportsAndRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A job journal record lives in the same tree and gets the same CRC
+	// verification: one flipped bit in its spec makes it corrupt.
+	jl, err := OpenJournal(filepath.Join(dir, "journal"), "j", KindJobJournal, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = jl.Write(new(RecordLock), "j1", func(box *Container) (int, error) {
+		box.Add("job", []byte(`{"id":"j1","spec":{"seed":7},"state":"queued"}`))
+		return 1, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badJournal := jl.Path("j1")
+	jb, err := os.ReadFile(badJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb[bytes.Index(jb, []byte(`7}`))] ^= 0x01
+	if err := os.WriteFile(badJournal, jb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Leave an orphaned temp file behind, as an interrupted writer would.
 	orphan := filepath.Join(sub, "."+EpochFileName(3)+".tmp-123")
 	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
@@ -52,11 +75,13 @@ func TestScrubReportsAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrub: %v", err)
 	}
-	if rep.Scanned != 2 || rep.Intact != 1 || len(rep.Corrupt) != 1 {
-		t.Fatalf("report %+v, want 2 scanned / 1 intact / 1 corrupt", rep)
+	if rep.Scanned != 3 || rep.Intact != 1 || len(rep.Corrupt) != 2 {
+		t.Fatalf("report %+v, want 3 scanned / 1 intact / 2 corrupt", rep)
 	}
-	if !errors.Is(rep.Corrupt[0].Err, ErrCorrupt) {
-		t.Fatalf("corrupt finding error = %v", rep.Corrupt[0].Err)
+	for _, f := range rep.Corrupt {
+		if !errors.Is(f.Err, ErrCorrupt) {
+			t.Fatalf("corrupt finding %s error = %v", f.Path, f.Err)
+		}
 	}
 	// Dry run removed only the temp orphan, never a container.
 	if len(rep.Removed) != 1 || rep.Removed[0] != orphan {
@@ -70,11 +95,13 @@ func TestScrubReportsAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repair scrub: %v", err)
 	}
-	if len(rep.Removed) != 1 || rep.Removed[0] != badPath {
-		t.Fatalf("repair removed %v, want the corrupt container", rep.Removed)
+	if len(rep.Removed) != 2 || rep.Removed[0] != badPath || rep.Removed[1] != badJournal {
+		t.Fatalf("repair removed %v, want the corrupt container and journal record", rep.Removed)
 	}
-	if _, err := os.Stat(badPath); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("corrupt container survived repair")
+	for _, p := range []string{badJournal, badPath} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("corrupt %s survived repair", p)
+		}
 	}
 	if _, err := ReadFile(filepath.Join(sub, EpochFileName(1))); err != nil {
 		t.Fatalf("intact container damaged by scrub: %v", err)

@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/client"
 	"repro/internal/detrand"
 	"repro/internal/metrics"
@@ -75,14 +75,16 @@ type Config struct {
 
 	// JournalDir, when set, makes the coordinator itself
 	// crash-recoverable: every campaign's lifecycle is journaled there
-	// as a checkpoint container, and a restarted coordinator resumes
-	// running campaigns over only their missing seeds (see journal.go).
+	// as a CRC-checked record (<id>.ckpt), and a restarted coordinator
+	// resumes running campaigns over only their missing seeds (see
+	// journal.go). New fails fast if the dir is not writable.
 	JournalDir string
 
 	// JournalRetain caps how many terminal campaign journals are kept
-	// (oldest first); JournalMaxAge drops ones older than the given
-	// age. Zero values keep everything. The GC sweep runs once at
-	// startup, after recovery.
+	// (oldest IDs collected first); JournalMaxAge drops ones last
+	// written longer ago than the given age, measured against Now. Zero
+	// values keep everything. The GC sweep runs once at startup, after
+	// recovery.
 	JournalRetain int
 	JournalMaxAge time.Duration
 
@@ -166,7 +168,7 @@ type Campaign struct {
 	recovered bool
 	done      chan struct{}
 
-	jmu sync.Mutex // serializes journal writes for this campaign
+	jlock checkpoint.RecordLock // orders this campaign's journal writes
 }
 
 // State returns the campaign's current phase.
@@ -269,6 +271,7 @@ type Coordinator struct {
 	reg    *metrics.Registry
 
 	workers []*Worker
+	journal *checkpoint.Journal // nil without Config.JournalDir
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -384,12 +387,11 @@ func New(cfg Config) (*Coordinator, error) {
 	// campaign IDs keep shard IdemSalts identical, so workers' idempotency
 	// keys re-adopt sub-jobs that survived the coordinator's death.
 	if cfg.JournalDir != "" {
-		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
+		relaunch, err := c.openJournal()
+		if err != nil {
 			cancel()
-			return nil, fmt.Errorf("cluster: journal dir: %w", err)
+			return nil, err
 		}
-		relaunch := c.recoverCampaigns()
-		c.sweepJournals()
 		for _, cm := range relaunch {
 			c.mRecovered.Inc()
 			c.gRunning.Add(1)

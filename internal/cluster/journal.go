@@ -3,22 +3,21 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/scenario"
 )
 
 // The campaign journal makes the coordinator crash-recoverable. With
 // Config.JournalDir set, every campaign keeps a durable record —
 // template, canonical seed set, per-seed results and error rows,
 // terminal state — in a checkpoint container at <dir>/<id>.ckpt,
-// rewritten atomically at each transition. A restarted coordinator
+// rewritten atomically at each transition (checkpoint.Journal owns the
+// format, write ordering, loading and retention). A restarted coordinator
 // scans the journal, recreates finished campaigns (re-merging to the
 // same bytes — merge is a pure function of template × results), and
 // relaunches running ones over only their missing seeds. Because the
@@ -45,161 +44,121 @@ type campaignMeta struct {
 	SeedErrors []seedError `json:"seed_errors,omitempty"`
 }
 
-// campaignRecord is one decoded journal entry.
-type campaignRecord struct {
-	Meta        campaignMeta
-	Template    scenario.Spec
-	Results     map[int64]json.RawMessage
-	Fingerprint uint64
-}
-
-// campNum parses the numeric part of a "c<N>" campaign ID, or -1.
-func campNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "c"))
-	if !strings.HasPrefix(id, "c") || err != nil || n <= 0 {
-		return -1
+// openJournal proves the journal dir writable, rebuilds the campaign
+// table from it, applies retention, and returns the running campaigns
+// to relaunch (the caller starts their runners once the coordinator is
+// fully constructed).
+func (c *Coordinator) openJournal() ([]*Campaign, error) {
+	jl, err := checkpoint.OpenJournal(c.cfg.JournalDir, "c", checkpoint.KindCampaignJournal, campaignJournalVersion)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return n
-}
-
-func (c *Coordinator) journalPath(id string) string {
-	return filepath.Join(c.cfg.JournalDir, id+checkpoint.FileExt)
+	c.journal = jl
+	relaunch, err := c.recoverCampaigns()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: loading campaign journal: %w", err)
+	}
+	c.sweepJournals()
+	return relaunch, nil
 }
 
 // journalCampaign persists the campaign's current state. Best-effort
 // after the startup writability probe, like the worker job journal: a
 // transient write failure (or an injected disk fault) must not take
-// down a running campaign — the next transition rewrites the file.
+// down a running campaign — the next transition rewrites the record.
 func (c *Coordinator) journalCampaign(cm *Campaign) {
-	if c.cfg.JournalDir == "" {
-		return
+	if err := c.journal.Write(&cm.jlock, cm.ID, cm.encode); err != nil {
+		c.cfg.Logf("cluster: journaling campaign %s: %v", cm.ID, err)
 	}
-	// Serialize whole snapshot+write cycles per campaign: two shards
-	// completing concurrently must not commit an older snapshot last.
-	cm.jmu.Lock()
-	defer cm.jmu.Unlock()
+}
+
+// encode snapshots the campaign into a journal record: "meta",
+// "template" and one "result-<seed>" section per collected seed, in
+// seed order. A running snapshot ranks below a terminal one.
+func (cm *Campaign) encode(box *checkpoint.Container) (rank int, err error) {
 	cm.mu.Lock()
-	meta := campaignMeta{
-		ID:     cm.ID,
-		State:  string(cm.state),
-		ErrMsg: cm.errMsg,
-		Seeds:  append([]int64(nil), cm.Seeds...),
-	}
+	defer cm.mu.Unlock()
+	meta := campaignMeta{ID: cm.ID, State: string(cm.state), ErrMsg: cm.errMsg, Seeds: cm.Seeds}
 	for s, msg := range cm.seedErrs {
 		meta.SeedErrors = append(meta.SeedErrors, seedError{Seed: s, Error: msg})
 	}
 	sort.Slice(meta.SeedErrors, func(i, j int) bool { return meta.SeedErrors[i].Seed < meta.SeedErrors[j].Seed })
-	results := make(map[int64]json.RawMessage, len(cm.results))
-	for s, b := range cm.results {
-		results[s] = b
-	}
-	tmpl := cm.Template
-	fp := cm.fp
-	cm.mu.Unlock()
-
 	metaB, err := json.Marshal(meta)
 	if err != nil {
-		return
+		return 0, err
 	}
-	tmplB, err := json.Marshal(tmpl)
+	tmplB, err := json.Marshal(cm.Template)
 	if err != nil {
-		return
+		return 0, err
 	}
-	box := checkpoint.New(checkpoint.KindCampaignJournal, campaignJournalVersion, fp)
+	box.Fingerprint = cm.fp
 	box.Add("meta", metaB)
 	box.Add("template", tmplB)
-	seeds := make([]int64, 0, len(results))
-	for s := range results {
+	seeds := make([]int64, 0, len(cm.results))
+	for s := range cm.results {
 		seeds = append(seeds, s)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	for _, s := range seeds {
-		box.Add(fmt.Sprintf("result-%d", s), results[s])
+		box.Add(fmt.Sprintf("result-%d", s), cm.results[s])
 	}
-
-	if _, err := checkpoint.WriteFileAtomic(c.journalPath(meta.ID), box); err != nil {
-		c.cfg.Logf("cluster: journaling campaign %s: %v", meta.ID, err)
+	if cm.state == CampaignRunning {
+		return 1, nil
 	}
+	return 2, nil
 }
 
-// loadCampaignJournals reads every intact campaign journal in dir,
-// sorted by numeric campaign ID. Corrupt or foreign files are skipped
-// and counted — recovery degrades to what survived, and determinism
-// makes re-running a lost campaign safe.
-func loadCampaignJournals(dir string) (recs []campaignRecord, corrupt int) {
-	files, err := checkpoint.ListDir(dir)
-	if err != nil {
-		return nil, 0
+// decodeCampaign rebuilds campaign id from its journal record; ok is
+// false when a section is missing or malformed.
+func decodeCampaign(id string, box *checkpoint.Container) (cm *Campaign, ok bool) {
+	var meta campaignMeta
+	metaB, ok := box.Section("meta")
+	if !ok || json.Unmarshal(metaB, &meta) != nil || meta.ID != id {
+		return nil, false
 	}
-	for _, path := range files {
-		box, err := checkpoint.ReadFile(path)
-		if err != nil || box.Kind != checkpoint.KindCampaignJournal {
-			corrupt++
-			continue
-		}
-		var rec campaignRecord
-		rec.Fingerprint = box.Fingerprint
-		metaB, ok := box.Section("meta")
-		if !ok || json.Unmarshal(metaB, &rec.Meta) != nil || campNum(rec.Meta.ID) < 0 {
-			corrupt++
-			continue
-		}
-		tmplB, ok := box.Section("template")
-		if !ok || json.Unmarshal(tmplB, &rec.Template) != nil {
-			corrupt++
-			continue
-		}
-		rec.Results = make(map[int64]json.RawMessage)
-		bad := false
-		for _, sec := range box.Sections() {
-			if !strings.HasPrefix(sec.Name, "result-") {
-				continue
-			}
-			seed, err := strconv.ParseInt(strings.TrimPrefix(sec.Name, "result-"), 10, 64)
-			if err != nil || !json.Valid(sec.Data) {
-				bad = true
-				break
-			}
-			rec.Results[seed] = json.RawMessage(sec.Data)
-		}
-		if bad {
-			corrupt++
-			continue
-		}
-		recs = append(recs, rec)
+	cm = &Campaign{
+		ID:       id,
+		Seeds:    meta.Seeds,
+		fp:       box.Fingerprint,
+		state:    CampaignState(meta.State),
+		errMsg:   meta.ErrMsg,
+		results:  make(map[int64]json.RawMessage),
+		seedErrs: make(map[int64]string, len(meta.SeedErrors)),
+		done:     make(chan struct{}),
 	}
-	sort.Slice(recs, func(i, j int) bool { return campNum(recs[i].Meta.ID) < campNum(recs[j].Meta.ID) })
-	return recs, corrupt
+	tmplB, ok := box.Section("template")
+	if !ok || json.Unmarshal(tmplB, &cm.Template) != nil {
+		return nil, false
+	}
+	for _, sec := range box.Sections() {
+		name, isResult := strings.CutPrefix(sec.Name, "result-")
+		if !isResult {
+			continue
+		}
+		seed, err := strconv.ParseInt(name, 10, 64)
+		if err != nil || !json.Valid(sec.Data) {
+			return nil, false
+		}
+		cm.results[seed] = json.RawMessage(sec.Data)
+	}
+	for _, se := range meta.SeedErrors {
+		cm.seedErrs[se.Seed] = se.Error
+	}
+	return cm, true
 }
 
 // recoverCampaigns rebuilds the campaign table from the journal and
-// relaunches every non-terminal campaign over its missing seeds. It
-// returns the campaigns relaunched (the caller starts their runners
-// once the coordinator is fully constructed).
-func (c *Coordinator) recoverCampaigns() []*Campaign {
-	recs, corrupt := loadCampaignJournals(c.cfg.JournalDir)
-	if corrupt > 0 {
-		c.mJournalCorrupt.Add(float64(corrupt))
-		c.cfg.Logf("cluster: skipped %d corrupt campaign journal file(s)", corrupt)
-	}
+// returns every non-terminal campaign, marked for relaunch over its
+// missing seeds.
+func (c *Coordinator) recoverCampaigns() ([]*Campaign, error) {
 	var relaunch []*Campaign
-	for _, rec := range recs {
-		if n := campNum(rec.Meta.ID); n > c.nextID {
+	corrupt, err := c.journal.Load(func(id string, box *checkpoint.Container) bool {
+		cm, ok := decodeCampaign(id, box)
+		if !ok {
+			return false
+		}
+		if n := c.journal.Num(id); n > c.nextID {
 			c.nextID = n
-		}
-		cm := &Campaign{
-			ID:       rec.Meta.ID,
-			Template: rec.Template,
-			Seeds:    rec.Meta.Seeds,
-			fp:       rec.Fingerprint,
-			state:    CampaignState(rec.Meta.State),
-			errMsg:   rec.Meta.ErrMsg,
-			results:  rec.Results,
-			seedErrs: make(map[int64]string, len(rec.Meta.SeedErrors)),
-			done:     make(chan struct{}),
-		}
-		for _, se := range rec.Meta.SeedErrors {
-			cm.seedErrs[se.Seed] = se.Error
 		}
 		switch cm.state {
 		case CampaignSucceeded:
@@ -223,67 +182,39 @@ func (c *Coordinator) recoverCampaigns() []*Campaign {
 		}
 		c.campaigns[cm.ID] = cm
 		c.order = append(c.order, cm.ID)
+		return true
+	})
+	if corrupt > 0 {
+		c.mJournalCorrupt.Add(float64(corrupt))
+		c.cfg.Logf("cluster: skipped %d corrupt campaign journal file(s)", corrupt)
 	}
-	return relaunch
+	return relaunch, err
 }
 
-// sweepJournals applies retention to terminal campaign journals:
-// JournalRetain caps how many are kept (oldest IDs go first) and
-// JournalMaxAge drops ones whose file is older. Running campaigns are
-// never collected. The sweep runs once at startup, after recovery, in
-// ascending ID order — deterministic given the same directory state.
+// sweepJournals applies JournalRetain and JournalMaxAge (against
+// Config.Now) to terminal campaign journals. Running campaigns are
+// never collected. The sweep runs once at startup, after recovery.
 func (c *Coordinator) sweepJournals() {
-	if c.cfg.JournalDir == "" || (c.cfg.JournalRetain <= 0 && c.cfg.JournalMaxAge <= 0) {
-		return
-	}
-	var terminal []string // campaign IDs, ascending
+	var terminal []string
 	for _, id := range c.order {
-		cm := c.campaigns[id]
-		if st := cm.State(); st == CampaignSucceeded || st == CampaignFailed {
+		if c.campaigns[id].State() != CampaignRunning {
 			terminal = append(terminal, id)
 		}
 	}
-	drop := make(map[string]bool)
-	if c.cfg.JournalRetain > 0 {
-		for len(terminal)-len(drop) > c.cfg.JournalRetain {
-			for _, id := range terminal {
-				if !drop[id] {
-					drop[id] = true
-					break
-				}
-			}
-		}
+	now := time.Now()
+	if c.cfg.Now != nil {
+		now = c.cfg.Now()
 	}
-	if c.cfg.JournalMaxAge > 0 {
-		now := time.Now()
-		if c.cfg.Now != nil {
-			now = c.cfg.Now()
-		}
-		for _, id := range terminal {
-			st, err := os.Stat(c.journalPath(id))
-			if err == nil && now.Sub(st.ModTime()) > c.cfg.JournalMaxAge {
-				drop[id] = true
-			}
-		}
+	removed, err := c.journal.Sweep(terminal, c.cfg.JournalRetain, c.cfg.JournalMaxAge, now)
+	if err != nil {
+		c.cfg.Logf("cluster: journal GC: %v", err)
 	}
-	for _, id := range terminal {
-		if !drop[id] {
-			continue
-		}
-		if err := os.Remove(c.journalPath(id)); err != nil {
-			c.cfg.Logf("cluster: journal GC %s: %v", id, err)
-			continue
-		}
+	for _, id := range removed {
 		// The durable record is gone; forget the campaign entirely so
 		// the API and the journal agree on what exists.
 		c.mu.Lock()
 		delete(c.campaigns, id)
-		for i, oid := range c.order {
-			if oid == id {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+		c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
 		c.mu.Unlock()
 		c.mJournalGC.Inc()
 	}

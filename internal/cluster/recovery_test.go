@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestCoordinatorCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	c1.Close()
 
-	box, err := checkpoint.ReadFile(c1.journalPath(cm.ID))
+	box, err := checkpoint.ReadFile(c1.journal.Path(cm.ID))
 	if err != nil {
 		t.Fatalf("campaign journal unreadable after crash: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestCoordinatorCrashRecoveryByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if campNum(cm3.ID) <= campNum(cm.ID) {
+	if c2.journal.Num(cm3.ID) <= c2.journal.Num(cm.ID) {
 		t.Errorf("post-recovery campaign ID %s does not advance past %s", cm3.ID, cm.ID)
 	}
 	awaitCampaign(t, cm3)
@@ -115,7 +116,7 @@ func TestCoordinatorRestartRecreatesTerminalCampaigns(t *testing.T) {
 	c1.Close()
 
 	// Plant a corrupt journal file beside the good one.
-	if err := os.WriteFile(c1.journalPath("c9"), []byte("SKYRBOX1 but not really"), 0o644); err != nil {
+	if err := os.WriteFile(c1.journal.Path("c9"), []byte("SKYRBOX1 but not really"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,6 +187,25 @@ func TestJournalGCRetention(t *testing.T) {
 	}
 	if _, ok := c2.Get("c1"); ok {
 		t.Error("collected campaign still in the table")
+	}
+}
+
+// An unusable journal dir fails New at startup, before any campaign
+// depends on it. The parent path is a regular file, so creating the
+// dir fails even for a privileged user.
+func TestJournalDirFailFast(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{
+		WorkerAddrs: []string{"http://127.0.0.1:1"},
+		JournalDir:  filepath.Join(blocker, "journal"),
+		Logf:        t.Logf,
+	})
+	if err == nil {
+		c.Close()
+		t.Fatal("New accepted a journal dir under a regular file")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
 
@@ -127,7 +128,7 @@ func TestJournalCorruptCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a second record by hand.
-	bad := filepath.Join(dir, "journal", "j9.json")
+	bad := filepath.Join(dir, "journal", "j9.ckpt")
 	if err := os.WriteFile(bad, []byte("{torn half-writ"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +145,50 @@ func TestJournalCorruptCounted(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "skyran_journal_corrupt_total 1") {
 		t.Fatalf("metrics missing skyran_journal_corrupt_total 1:\n%s", body)
+	}
+}
+
+// TestJournalBitFlipNotReplayed: one flipped bit inside a journaled
+// spec — the silent media corruption -chaos-disk-bitflip injects — must
+// make the record corrupt: skipped and counted, never re-enqueued as a
+// different spec under the original job ID and idempotency key.
+func TestJournalBitFlipNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	s1 := mustNew(t, Config{QueueCap: 4, JobTimeout: time.Minute, CheckpointDir: dir})
+	if _, _, err := s1.SubmitIdem(tinySpec(7), "flip-1"); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := filepath.Glob(filepath.Join(dir, "journal", "j1.*"))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("job record %v, %v", recs, err)
+	}
+	b, err := os.ReadFile(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte(`"seed":`))
+	if i < 0 {
+		t.Fatal("job record holds no spec seed")
+	}
+	i += len(`"seed":`)
+	for b[i] == ' ' {
+		i++
+	}
+	if b[i] != '7' {
+		t.Fatalf("spec seed digit %q, want '7'", b[i])
+	}
+	b[i] ^= 1 // seed 7 reads as seed 6
+	if err := os.WriteFile(recs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	s2 := mustNew(t, Config{QueueCap: 4, JobTimeout: time.Minute, CheckpointDir: dir, Registry: reg})
+	if j, ok := s2.Get("j1"); ok {
+		t.Fatalf("damaged record re-enqueued as j1 with seed %d", j.spec.Seed)
+	}
+	if v := reg.Counter("skyran_journal_corrupt_total", "").Value(); v != 1 {
+		t.Errorf("journal_corrupt_total = %v, want 1", v)
 	}
 }
 

@@ -3,21 +3,33 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/scenario"
 )
 
 // readJournalEntry returns the job's on-disk record (ok=false before
-// the first write lands).
+// the first write lands). A record that exists but fails verification
+// is a test error: writes are atomic, so no reader may see a torn one.
 func readJournalEntry(t *testing.T, dir, id string) (journalEntry, bool) {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, "journal", id+".json"))
+	box, err := checkpoint.ReadFile(filepath.Join(dir, "journal", id+checkpoint.FileExt))
+	if errors.Is(err, os.ErrNotExist) {
+		return journalEntry{}, false
+	}
 	if err != nil {
+		t.Errorf("journal %s: torn record: %v", id, err)
+		return journalEntry{}, false
+	}
+	b, ok := box.Section("job")
+	if box.Kind != checkpoint.KindJobJournal || !ok {
+		t.Errorf("journal %s: %s record without a job section", id, box.Kind)
 		return journalEntry{}, false
 	}
 	var ent journalEntry
@@ -26,6 +38,24 @@ func readJournalEntry(t *testing.T, dir, id string) (journalEntry, bool) {
 		return journalEntry{}, false
 	}
 	return ent, true
+}
+
+// writeJournalEntry plants a job record in the on-disk format a
+// crashed daemon leaves behind.
+func writeJournalEntry(t *testing.T, dir string, ent journalEntry) {
+	t.Helper()
+	b, err := json.Marshal(ent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := checkpoint.New(checkpoint.KindJobJournal, jobJournalVersion, 0)
+	box.Add("job", b)
+	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.WriteFileAtomic(filepath.Join(dir, "journal", ent.ID+checkpoint.FileExt), box); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestJournalNeverRegresses drives concurrent lifecycle transitions —

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -47,7 +46,7 @@ type Config struct {
 
 	// CheckpointDir enables crash recovery: each job checkpoints its
 	// simulation state there at epoch boundaries (jobs/<id>/) and keeps
-	// a durable lifecycle record (journal/<id>.json). A restarted
+	// a CRC-checked lifecycle record (journal/<id>.ckpt). A restarted
 	// daemon pointed at the same dir re-enqueues interrupted jobs and
 	// resumes them from their newest intact checkpoint. Empty disables
 	// both. New fails fast if the dir is not writable.
@@ -62,9 +61,9 @@ type Config struct {
 	// their checkpoint directories) a restarted daemon keeps, oldest
 	// IDs collected first (0 keeps all).
 	JournalRetain int
-	// JournalMaxAge collects terminal journal records whose file is
-	// older at restart (0 keeps all). Non-terminal records are never
-	// collected by either knob.
+	// JournalMaxAge collects terminal journal records last written
+	// longer ago than this at restart (0 keeps all). Non-terminal
+	// records are never collected by either knob.
 	JournalMaxAge time.Duration
 
 	// Chaos enables daemon-level fault injection (slow handlers,
@@ -103,11 +102,9 @@ type Job struct {
 	events *eventLog
 	done   chan struct{} // closed when the job reaches a terminal state
 
-	// jmu serializes each snapshot-and-write of the journal record, and
-	// journaled is the lifecycle rank last written: a stale snapshot
-	// never overwrites a later one, so the record never moves backwards.
-	jmu       sync.Mutex
-	journaled int
+	// jlock orders the writes of the job's journal record, so a stale
+	// snapshot never overwrites a later one.
+	jlock checkpoint.RecordLock
 
 	mu         sync.Mutex
 	state      JobState
@@ -144,9 +141,9 @@ func terminal(s JobState) bool {
 // start the workers with Start, expose Handler over HTTP, and drain
 // with Shutdown.
 type Server struct {
-	cfg        Config
-	reg        *metrics.Registry
-	journalDir string // empty when checkpointing is disabled
+	cfg     Config
+	reg     *metrics.Registry
+	journal *checkpoint.Journal // nil when checkpointing is disabled
 
 	runCtx    context.Context // parent of every job context
 	runCancel context.CancelFunc
@@ -238,22 +235,16 @@ func New(cfg Config) (*Server, error) {
 		cfg.QuarantineAfter = 3
 	}
 
-	var journalDir string
-	var journaled []journalEntry
-	var corruptEntries int
-	if cfg.CheckpointDir != "" {
-		journalDir = filepath.Join(cfg.CheckpointDir, "journal")
-		if err := probeCheckpointDirs(cfg.CheckpointDir, journalDir); err != nil {
-			return nil, err
-		}
-		journaled, corruptEntries = loadJournal(journalDir)
+	journal, journaled, corruptEntries, err := openJournal(cfg.CheckpointDir)
+	if err != nil {
+		return nil, err
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
 		reg:         reg,
-		journalDir:  journalDir,
+		journal:     journal,
 		runCtx:      ctx,
 		runCancel:   cancel,
 		jobs:        make(map[string]*Job),

@@ -545,7 +545,7 @@ func TestCheckpointDirFailFast(t *testing.T) {
 }
 
 // TestJournalAndCheckpointLayout: a checkpointing daemon leaves the
-// on-disk layout recovery depends on — journal/<id>.json tracking the
+// on-disk layout recovery depends on — journal/<id>.ckpt tracking the
 // lifecycle and jobs/<id>/epoch-*.ckpt snapshots — and surfaces the
 // checkpoint counters on /metrics.
 func TestJournalAndCheckpointLayout(t *testing.T) {
@@ -562,16 +562,9 @@ func TestJournalAndCheckpointLayout(t *testing.T) {
 		t.Fatalf("job finished %s", st)
 	}
 
-	b, err := os.ReadFile(filepath.Join(dir, "journal", env.ID+".json"))
-	if err != nil {
-		t.Fatalf("journal entry: %v", err)
-	}
-	var ent journalEntry
-	if err := json.Unmarshal(b, &ent); err != nil {
-		t.Fatal(err)
-	}
-	if ent.ID != env.ID || ent.State != JobSucceeded {
-		t.Fatalf("journal entry %+v", ent)
+	ent, ok := readJournalEntry(t, dir, env.ID)
+	if !ok || ent.ID != env.ID || ent.State != JobSucceeded {
+		t.Fatalf("journal entry %+v (present %v)", ent, ok)
 	}
 
 	files, err := checkpoint.ListDir(filepath.Join(dir, "jobs", env.ID))
@@ -641,16 +634,7 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	if err := normalized.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	entJSON, err := json.Marshal(journalEntry{ID: "j1", Spec: normalized, State: JobRunning})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal", "j1.json"), entJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJournalEntry(t, dir, journalEntry{ID: "j1", Spec: normalized, State: JobRunning})
 
 	s := mustNew(t, Config{QueueCap: 4, Workers: 2, JobTimeout: time.Minute, CheckpointDir: dir})
 	j, ok := s.Get("j1")
