@@ -5,6 +5,7 @@
 #   make short        quick signal while iterating
 #   make bench        one bench per paper figure + hot-path micro-benches
 #   make bench-smoke    vet + compile-and-run every benchmark once (CI tier)
+#   make fmt          fail if gofmt would reformat any file
 #   make perfbench-test  vet + unit tests of the perfbench module (its own
 #                        Go module, so ./... from the root never builds it)
 #   make serve-smoke  end-to-end skyrand daemon vs skyranctl -json diff
@@ -49,7 +50,7 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

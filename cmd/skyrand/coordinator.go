@@ -27,7 +27,6 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 	}
 	c, err := cluster.New(cluster.Config{
 		WorkerAddrs:     addrs,
-		Route:           opts.route,
 		AdmitRate:       opts.admitRate,
 		AdmitBurst:      opts.admitBurst,
 		ProbeEvery:      opts.probeEvery,
@@ -39,7 +38,6 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 		JournalMaxAge:   opts.journalMaxAge,
 		BreakerFails:    opts.breakerFails,
 		BreakerCooldown: opts.breakerCooldown,
-		HedgeAfter:      opts.hedgeAfter,
 		TimingSeed:      opts.timingSeed,
 		NetChaos:        opts.netChaos,
 		Registry:        opts.registry,
@@ -58,8 +56,7 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 	}
-	fmt.Printf("skyrand: coordinating %d worker(s) on http://%s (route %s)\n",
-		len(addrs), ln.Addr(), c.Route())
+	fmt.Printf("skyrand: coordinating %d worker(s) on http://%s\n", len(addrs), ln.Addr())
 	if opts.ckptRoot != "" {
 		fmt.Printf("skyrand: shard checkpoints under %s (shared with workers)\n", opts.ckptRoot)
 	}
@@ -88,7 +85,6 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 
 type coordinatorOpts struct {
 	workerAddrs     string
-	route           string
 	admitRate       float64
 	admitBurst      int
 	probeEvery      time.Duration
@@ -100,7 +96,6 @@ type coordinatorOpts struct {
 	journalMaxAge   time.Duration
 	breakerFails    int
 	breakerCooldown time.Duration
-	hedgeAfter      time.Duration
 	timingSeed      int64
 	netChaos        *chaos.NetConfig
 	registry        *metrics.Registry

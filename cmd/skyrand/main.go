@@ -39,7 +39,7 @@
 //
 //	skyrand -coordinator -addr :7650 \
 //	    -worker-addrs http://127.0.0.1:7643,http://127.0.0.1:7644 \
-//	    -route least-loaded -cluster-ckpt-dir /var/lib/skyran-cluster
+//	    -cluster-ckpt-dir /var/lib/skyran-cluster
 package main
 
 import (
@@ -76,7 +76,6 @@ func main() {
 
 		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator fronting -worker-addrs instead of a worker daemon")
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated worker base URLs (coordinator mode)")
-		route       = flag.String("route", "round-robin", "coordinator routing policy: round-robin, least-loaded, scenario-affinity")
 		admitRate   = flag.Float64("admit-rate", 0, "coordinator admission: seeds admitted per second (0 = unlimited)")
 		admitBurst  = flag.Int("admit-burst", 0, "coordinator admission burst in seeds")
 		probeEvery  = flag.Duration("probe-every", 500*time.Millisecond, "coordinator health-probe interval")
@@ -90,7 +89,6 @@ func main() {
 
 		breakerFails    = flag.Int("breaker-fails", 0, "consecutive dispatch failures before a worker's circuit breaker opens (0 = default)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 0, "how long an open breaker biases routing away from a worker (0 = default)")
-		hedgeAfter      = flag.Duration("hedge-after", 0, "hedge a slow shard to a second worker after this long (0 = off)")
 		timingSeed      = flag.Int64("timing-seed", 0, "seed for coordinator timing jitter (probe interval, Retry-After)")
 
 		quarantineAfter = flag.Int("quarantine-after", 0, "consecutive panics before a spec fingerprint is quarantined (0 = default)")
@@ -100,7 +98,6 @@ func main() {
 		chaosSlowMax = flag.Duration("chaos-slow-max", 0, "max injected handler delay (0 = default)")
 		chaosCrash   = flag.Float64("chaos-crash-rate", 0, "probability a worker simulates a crash mid-job [0,1]")
 		chaosAfter   = flag.Duration("chaos-crash-after", 0, "how long a doomed job runs before the simulated crash (0 = default)")
-		chaosMax     = flag.Int("chaos-max-crashes", 0, "total simulated crashes allowed (0 = default)")
 		chaosPoison  = flag.String("chaos-poison-seeds", "", "comma-separated scenario seeds whose jobs panic mid-run (quarantine drill)")
 
 		chaosNetLatency    = flag.Float64("chaos-net-latency", 0, "coordinator->worker chaos: probability a request is delayed [0,1]")
@@ -149,7 +146,6 @@ func main() {
 		}
 		err := coordinatorMain(*addr, coordinatorOpts{
 			workerAddrs:     *workerAddrs,
-			route:           *route,
 			admitRate:       *admitRate,
 			admitBurst:      *admitBurst,
 			probeEvery:      *probeEvery,
@@ -161,7 +157,6 @@ func main() {
 			journalMaxAge:   *journalMaxAge,
 			breakerFails:    *breakerFails,
 			breakerCooldown: *breakerCooldown,
-			hedgeAfter:      *hedgeAfter,
 			timingSeed:      *timingSeed,
 			netChaos:        netChaos,
 			registry:        reg,
@@ -188,17 +183,14 @@ func main() {
 		JournalMaxAge:    *journalMaxAge,
 		QuarantineAfter:  *quarantineAfter,
 		Registry:         reg,
-	}
-	if *chaosSlow > 0 || *chaosCrash > 0 || len(poisonSeeds) > 0 {
-		cfg.Chaos = &server.ChaosConfig{
-			Seed:            *chaosSeed,
-			SlowHandlerRate: *chaosSlow,
-			SlowHandlerMax:  *chaosSlowMax,
-			WorkerCrashRate: *chaosCrash,
-			CrashAfter:      *chaosAfter,
-			MaxCrashes:      *chaosMax,
-			PoisonSeeds:     poisonSeeds,
-		}
+		Chaos: &chaos.DaemonConfig{
+			Seed:        *chaosSeed,
+			SlowRate:    *chaosSlow,
+			SlowMax:     *chaosSlowMax,
+			CrashRate:   *chaosCrash,
+			CrashAfter:  *chaosAfter,
+			PoisonSeeds: poisonSeeds,
+		},
 	}
 	if err := run(*addr, cfg, *drainGrace, *readTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "skyrand:", err)

@@ -1,7 +1,8 @@
 // Package chaos injects deterministic failures into the two domains
-// field deployments report as dominant and the rest of the tree could
-// not yet test: the network between coordinator and workers, and the
-// disk under checkpoints and journals. Every injection decision is a
+// field deployments report as dominant — the network between
+// coordinator and workers, and the disk under checkpoints and journals
+// — plus the worker daemon's own drills: slow handlers, simulated
+// crashes mid-job and poisoned seeds. Every injection decision is a
 // pure function of (seed, site, attempt) — the same splitmix64-keyed
 // discipline internal/fault uses for radio faults — so a chaos run
 // replays exactly under a fixed seed, and an all-zero schedule is
@@ -9,6 +10,7 @@
 package chaos
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 )
@@ -26,7 +28,17 @@ const (
 	domENOSPC
 	domBitFlip
 	domFrac // secondary draw: delay fraction, cut point, flipped bit
+	domSlow
+	domCrash
 )
+
+// keySeed substitutes the fixed default for an unset (zero) seed.
+func keySeed(seed int64) int64 {
+	if seed == 0 {
+		return 0x5eed
+	}
+	return seed
+}
 
 // splitmix64 is the finalizer used across the repo's seeded streams.
 func splitmix64(x uint64) uint64 {
@@ -53,4 +65,21 @@ func rate(p float64) float64 {
 		return 0
 	}
 	return math.Min(p, 1)
+}
+
+// namedRate is one configured probability and its name for errors.
+type namedRate struct {
+	name string
+	v    float64
+}
+
+// checkRates rejects any rate that is not a probability in [0, 1]:
+// NaN and ±Inf included, which a bare range test would let through.
+func checkRates(domain string, rates []namedRate) error {
+	for _, r := range rates {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("chaos: %s %s rate %g outside [0, 1]", domain, r.name, r.v)
+		}
+	}
+	return nil
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -64,18 +67,178 @@ func TestAllZeroNetConfigIsBitwiseNoop(t *testing.T) {
 	}
 }
 
+func TestAllZeroDaemonConfigIsInert(t *testing.T) {
+	for _, cfg := range []*DaemonConfig{nil, {}, {Seed: 99, SlowMax: time.Second, CrashAfter: time.Second}} {
+		if d := NewDaemon(cfg); d != nil {
+			t.Fatalf("inactive config %+v built a daemon drill", cfg)
+		}
+	}
+	var d *Daemon
+	mux := http.NewServeMux()
+	if got := d.Handler(mux, nil); got != http.Handler(mux) {
+		t.Fatalf("nil drill wrapped the handler: %T", got)
+	}
+	if _, crash := d.Crash(1); crash || d.Poisoned(1) {
+		t.Fatal("nil drill crashed or poisoned")
+	}
+	// Crash-only drills leave the handler chain untouched too.
+	d = NewDaemon(&DaemonConfig{CrashRate: 1})
+	if got := d.Handler(mux, nil); got != http.Handler(mux) {
+		t.Fatalf("crash-only drill wrapped the handler: %T", got)
+	}
+}
+
 func TestNetValidate(t *testing.T) {
-	if err := (&NetConfig{ResetRate: 1.5}).Validate(); err == nil {
-		t.Fatal("rate 1.5 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  interface{ Validate() error }
+		ok   bool
+	}{
+		{"net valid", &NetConfig{ResetRate: 0.5}, true},
+		{"net edges", &NetConfig{LatencyRate: 0, ResetRate: 1}, true},
+		{"net nil", (*NetConfig)(nil), true},
+		{"net 1.5", &NetConfig{ResetRate: 1.5}, false},
+		{"net -0.1", &NetConfig{LatencyRate: -0.1}, false},
+		{"net NaN", &NetConfig{TruncateRate: nan}, false},
+		{"net +Inf", &NetConfig{PartitionRate: inf}, false},
+		{"net -Inf", &NetConfig{LatencyRate: -inf}, false},
+		{"disk valid", &DiskConfig{TornRate: 0.3}, true},
+		{"disk 2", &DiskConfig{ENOSPCRate: 2}, false},
+		{"disk NaN", &DiskConfig{TornRate: nan}, false},
+		{"disk +Inf", &DiskConfig{BitFlipRate: inf}, false},
+		{"daemon valid", &DaemonConfig{SlowRate: 0.5, CrashRate: 1}, true},
+		{"daemon nil", (*DaemonConfig)(nil), true},
+		{"daemon -1", &DaemonConfig{SlowRate: -1}, false},
+		{"daemon NaN", &DaemonConfig{CrashRate: nan}, false},
+		{"daemon +Inf", &DaemonConfig{SlowRate: inf}, false},
+	} {
+		err := tc.cfg.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: valid config rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "outside [0, 1]")) {
+			t.Errorf("%s: got %v, want an \"outside [0, 1]\" error", tc.name, err)
+		}
 	}
-	if err := (&NetConfig{LatencyRate: -0.1}).Validate(); err == nil {
-		t.Fatal("rate -0.1 accepted")
+}
+
+func TestDaemonCrashKeyedPerFingerprint(t *testing.T) {
+	cfg := &DaemonConfig{Seed: 7, CrashRate: 0.5, CrashAfter: time.Second}
+	fps := make([]uint64, 32)
+	for i := range fps {
+		fps[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	if err := (&NetConfig{ResetRate: 0.5}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	decide := func(order []int) map[uint64]bool {
+		d := NewDaemon(cfg)
+		out := make(map[uint64]bool)
+		for _, i := range order {
+			after, crash := d.Crash(fps[i])
+			if crash && after != time.Second {
+				t.Fatalf("crash after %v, want the configured 1s", after)
+			}
+			out[fps[i]] = crash
+		}
+		return out
 	}
-	if err := (&DiskConfig{ENOSPCRate: 2}).Validate(); err == nil {
-		t.Fatal("disk rate 2 accepted")
+	fwd, rev := make([]int, len(fps)), make([]int, len(fps))
+	for i := range fps {
+		fwd[i], rev[len(fps)-1-i] = i, i
+	}
+	a, b := decide(fwd), decide(rev)
+	crashed := 0
+	for _, fp := range fps {
+		if a[fp] != b[fp] {
+			t.Fatalf("fingerprint %016x: crash %v in one order, %v in the other", fp, a[fp], b[fp])
+		}
+		if a[fp] {
+			crashed++
+		}
+	}
+	if crashed == 0 || crashed == len(fps) {
+		t.Fatalf("rate 0.5 crashed %d of %d fingerprints", crashed, len(fps))
+	}
+	// A second run of one spec draws afresh: over many reruns the same
+	// fingerprint sees both outcomes.
+	d := NewDaemon(cfg)
+	seen := map[bool]bool{}
+	for i := 0; i < 32; i++ {
+		_, crash := d.Crash(fps[0])
+		seen[crash] = true
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("32 reruns of one fingerprint saw only %v", seen)
+	}
+}
+
+func TestDaemonSlowHandlerDeterministicPerPath(t *testing.T) {
+	cfg := &DaemonConfig{Seed: 5, SlowRate: 0.5, SlowMax: time.Millisecond}
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") })
+	run := func(paths []string) (map[string]int, float64) {
+		reg := metrics.NewRegistry()
+		slowed := reg.Counter("slowed", "")
+		h := NewDaemon(cfg).Handler(ok, slowed)
+		perPath := make(map[string]int)
+		for _, p := range paths {
+			before := slowed.Value()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+			if rec.Body.String() != "ok" {
+				t.Fatalf("slowed request to %s not served: %q", p, rec.Body.String())
+			}
+			if slowed.Value() > before {
+				perPath[p]++
+			}
+		}
+		return perPath, slowed.Value()
+	}
+	var interleaved, grouped []string
+	for i := 0; i < 10; i++ {
+		interleaved = append(interleaved, "/healthz", "/metrics")
+		grouped = append(grouped, "/healthz")
+	}
+	for i := 0; i < 10; i++ {
+		grouped = append(grouped, "/metrics")
+	}
+	// Interleaving does not matter: the draws for one path depend only
+	// on how many requests that path has seen.
+	a, na := run(interleaved)
+	b, nb := run(grouped)
+	if na != nb || a["/healthz"] != b["/healthz"] || a["/metrics"] != b["/metrics"] {
+		t.Fatalf("slow decisions depend on arrival order: %v (%v) vs %v (%v)", a, na, b, nb)
+	}
+	if na == 0 || na == float64(len(interleaved)) {
+		t.Fatalf("rate 0.5 slowed %v of %d requests", na, len(interleaved))
+	}
+}
+
+// Concurrent callers race only for ordinals, and each site's set of
+// ordinals is fixed, so the per-site decision count is too.
+func TestDaemonConcurrentDecisionsMatchSequential(t *testing.T) {
+	cfg := &DaemonConfig{Seed: 3, CrashRate: 0.5}
+	const fps, runs = 4, 16
+	count := func(concurrent bool) int64 {
+		d := NewDaemon(cfg)
+		var wg sync.WaitGroup
+		var crashes atomic.Int64
+		for i := 0; i < fps*runs; i++ {
+			call := func() {
+				if _, crash := d.Crash(uint64(i % fps)); crash {
+					crashes.Add(1)
+				}
+			}
+			if !concurrent {
+				call()
+				continue
+			}
+			wg.Add(1)
+			go func() { defer wg.Done(); call() }()
+		}
+		wg.Wait()
+		return crashes.Load()
+	}
+	if seq, par := count(false), count(true); seq != par {
+		t.Fatalf("concurrent callers saw %d crashes, sequential %d", par, seq)
 	}
 }
 

@@ -41,19 +41,11 @@ func (c *DiskConfig) Validate() error {
 	if c == nil {
 		return nil
 	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
+	return checkRates("disk", []namedRate{
 		{"torn", c.TornRate},
 		{"enospc", c.ENOSPCRate},
 		{"bitflip", c.BitFlipRate},
-	} {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("chaos: disk %s rate %g outside [0, 1]", r.name, r.v)
-		}
-	}
-	return nil
+	})
 }
 
 // DiskInjector mutates (or fails) file writes deterministically.
@@ -80,9 +72,7 @@ func NewDiskInjector(cfg DiskConfig, reg *metrics.Registry) *DiskInjector {
 	if !cfg.Active() {
 		return nil
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5eed
-	}
+	cfg.Seed = keySeed(cfg.Seed)
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}

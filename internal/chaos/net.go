@@ -58,20 +58,12 @@ func (c *NetConfig) Validate() error {
 	if c == nil {
 		return nil
 	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
+	return checkRates("net", []namedRate{
 		{"latency", c.LatencyRate},
 		{"reset", c.ResetRate},
 		{"truncate", c.TruncateRate},
 		{"partition", c.PartitionRate},
-	} {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("chaos: net %s rate %g outside [0, 1]", r.name, r.v)
-		}
-	}
-	return nil
+	})
 }
 
 // netError is an injected transport failure; the shared client treats
@@ -112,9 +104,7 @@ func NewTransport(cfg NetConfig, base http.RoundTripper, reg *metrics.Registry) 
 	if !cfg.Active() {
 		return base
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5eed
-	}
+	cfg.Seed = keySeed(cfg.Seed)
 	if cfg.LatencyMax <= 0 {
 		cfg.LatencyMax = 200 * time.Millisecond
 	}

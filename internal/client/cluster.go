@@ -21,7 +21,7 @@ import (
 // prompt verdict, not patience.
 
 // ReadyReport mirrors the /readyz capacity body: readiness plus the
-// load figures least-loaded routing feeds on.
+// daemon's load figures.
 type ReadyReport struct {
 	Status     string `json:"status"`
 	QueueDepth int    `json:"queue_depth"`
@@ -33,8 +33,8 @@ type ReadyReport struct {
 // Ready reports whether the daemon accepts new work.
 func (r *ReadyReport) Ready() bool { return r.Status == "ready" }
 
-// Load is the capacity-report routing score: queued plus running jobs
-// as the daemon itself sees them.
+// Load is queued plus running jobs as the daemon itself sees them
+// (the coordinator's reported_load).
 func (r *ReadyReport) Load() int { return r.QueueDepth + r.Inflight }
 
 // Ready fetches the daemon's capacity report in a single attempt — no

@@ -41,10 +41,6 @@ type Config struct {
 	// "http://127.0.0.1:8080". At least one is required.
 	WorkerAddrs []string
 
-	// Route names the routing policy (round-robin, least-loaded,
-	// scenario-affinity). Empty selects round-robin.
-	Route string
-
 	// AdmitRate and AdmitBurst configure token-bucket admission in
 	// front of campaign dispatch: a campaign costs one token per seed.
 	// AdmitRate <= 0 disables admission (everything accepted).
@@ -95,12 +91,6 @@ type Config struct {
 	BreakerFails    int
 	BreakerCooldown time.Duration
 
-	// HedgeAfter, when positive, launches one bounded hedge dispatch of
-	// a shard's missing seeds to a second worker if the first has not
-	// finished within the given duration. Results are keyed by seed and
-	// byte-deterministic, so duplicated completions are harmless.
-	HedgeAfter time.Duration
-
 	// TimingSeed seeds the detrand counting stream behind probe-interval
 	// and Retry-After jitter (default 1), so chaos runs replay their
 	// timing draws exactly.
@@ -137,11 +127,6 @@ type Worker struct {
 
 // Healthy reports whether the worker is still in the rotation.
 func (w *Worker) Healthy() bool { return !w.evicted.Load() }
-
-// load is the least-loaded routing score: what the coordinator has
-// dispatched and not yet collected, plus what the worker last reported
-// queued and running (which covers work from other submitters).
-func (w *Worker) load() int64 { return w.inflight.Load() + w.reported.Load() }
 
 // CampaignState is a campaign's lifecycle phase.
 type CampaignState string
@@ -266,7 +251,6 @@ var ErrNoWorkers = errors.New("cluster: no healthy workers")
 // Coordinator runs campaigns over a worker fleet.
 type Coordinator struct {
 	cfg    Config
-	router Router
 	bucket *TokenBucket
 	reg    *metrics.Registry
 
@@ -282,6 +266,8 @@ type Coordinator struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	rr atomic.Uint64 // round-robin cursor over pickWorker's pool
+
 	timingMu sync.Mutex
 	timing   *detrand.Rand // jitter draws: probe interval, Retry-After
 
@@ -292,7 +278,6 @@ type Coordinator struct {
 	mResteals       *metrics.Counter
 	mEvicted        *metrics.Counter
 	mThrottled      *metrics.Counter
-	mHedges         *metrics.Counter
 	mRecovered      *metrics.Counter
 	mJournalGC      *metrics.Counter
 	mJournalCorrupt *metrics.Counter
@@ -306,10 +291,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.WorkerAddrs) == 0 {
 		return nil, errors.New("cluster: at least one worker address required")
-	}
-	router, err := NewRouter(cfg.Route)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 500 * time.Millisecond
@@ -344,7 +325,6 @@ func New(cfg Config) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:       cfg,
-		router:    router,
 		bucket:    NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst, cfg.Now),
 		reg:       cfg.Registry,
 		campaigns: make(map[string]*Campaign),
@@ -373,7 +353,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mResteals = r.Counter("skyran_cluster_resteals_total", "Shards re-dispatched after a worker failure or eviction.")
 	c.mEvicted = r.Counter("skyran_cluster_evicted_total", "Workers evicted by the health prober.")
 	c.mThrottled = r.Counter("skyran_cluster_throttled_total", "Campaign submissions rejected by token-bucket admission.")
-	c.mHedges = r.Counter("skyran_cluster_hedges_total", "Hedge dispatches launched for slow shards.")
 	c.mRecovered = r.Counter("skyran_cluster_campaigns_recovered_total", "Running campaigns relaunched from the journal after a restart.")
 	c.mJournalGC = r.Counter("skyran_journal_gc_total", "Terminal campaign journal files removed by retention.")
 	c.mJournalCorrupt = r.Counter("skyran_cluster_journal_corrupt_total", "Campaign journal files skipped as corrupt during recovery.")
@@ -416,9 +395,6 @@ func (c *Coordinator) Close() {
 
 // Workers returns the coordinator's worker table (stable order).
 func (c *Coordinator) Workers() []*Worker { return c.workers }
-
-// Route returns the active routing policy name.
-func (c *Coordinator) Route() string { return c.router.Name() }
 
 // Campaigns returns all campaigns in submission order.
 func (c *Coordinator) Campaigns() []*Campaign {
@@ -580,11 +556,11 @@ func (c *Coordinator) runShard(cm *Campaign, seeds []int64) error {
 		if c.ctx.Err() != nil {
 			return errShutdown
 		}
-		w := c.pickWorker(cm.fp, tried)
+		w := c.pickWorker(tried)
 		if w == nil {
 			return ErrNoWorkers
 		}
-		err := c.runShardHedged(cm, w, remaining, tried)
+		err := c.dispatchPass(cm, w, remaining)
 		if err == nil {
 			continue // loop re-checks remaining; normally empty now
 		}
@@ -596,43 +572,6 @@ func (c *Coordinator) runShard(cm *Campaign, seeds []int64) error {
 		c.cfg.Logf("cluster: campaign %s restealing %d seed(s) from %s: %v",
 			cm.ID, len(missingOf(cm, seeds)), w.Addr, err)
 	}
-}
-
-// runShardHedged runs one dispatch pass, and — when HedgeAfter is set
-// and the primary is slow — at most one concurrent hedge pass on a
-// different worker. Either pass completing completes the seeds:
-// results are keyed by seed and byte-deterministic, so a duplicated
-// completion overwrites with identical bytes.
-func (c *Coordinator) runShardHedged(cm *Campaign, w *Worker, seeds []int64, tried map[int]bool) error {
-	if c.cfg.HedgeAfter <= 0 {
-		return c.dispatchPass(cm, w, seeds)
-	}
-	primary := make(chan error, 1)
-	go func() { primary <- c.dispatchPass(cm, w, seeds) }()
-	select {
-	case err := <-primary:
-		return err
-	case <-time.After(c.cfg.HedgeAfter):
-	case <-c.ctx.Done():
-		return <-primary
-	}
-	avoid := map[int]bool{w.Index: true}
-	for k := range tried {
-		avoid[k] = true
-	}
-	hw := c.pickWorker(cm.fp, avoid)
-	if hw == nil || hw == w {
-		return <-primary
-	}
-	c.mHedges.Inc()
-	c.cfg.Logf("cluster: campaign %s hedging %d seed(s) from %s to %s", cm.ID, len(seeds), w.Addr, hw.Addr)
-	hedge := make(chan error, 1)
-	go func() { hedge <- c.dispatchPass(cm, hw, missingOf(cm, seeds)) }()
-	perr, herr := <-primary, <-hedge
-	if perr == nil || herr == nil {
-		return nil
-	}
-	return perr
 }
 
 // dispatchPass runs one pass on one worker and feeds its circuit
@@ -682,13 +621,15 @@ func missingOf(cm *Campaign, seeds []int64) []int64 {
 	return out
 }
 
-// pickWorker routes among healthy workers, preferring ones that have
-// not just failed this shard and whose circuit breaker is not open.
-// The preferences degrade in order rather than block: if every
+// pickWorker routes round-robin among healthy workers, preferring ones
+// that have not just failed this shard and whose circuit breaker is not
+// open. The preferences degrade in order rather than block: if every
 // candidate's breaker is open the avoid set still applies, and if
 // every healthy worker already failed the shard, the avoid set resets
-// — with one worker left, retrying it beats giving up.
-func (c *Coordinator) pickWorker(fp uint64, avoid map[int]bool) *Worker {
+// — with one worker left, retrying it beats giving up. Round-robin is
+// the only policy: a campaign's shards dispatch concurrently, so a
+// load-based pick would see every worker idle and tie.
+func (c *Coordinator) pickWorker(avoid map[int]bool) *Worker {
 	var healthy, candid, preferred []*Worker
 	for _, w := range c.workers {
 		if !w.Healthy() {
@@ -717,7 +658,7 @@ func (c *Coordinator) pickWorker(fp uint64, avoid map[int]bool) *Worker {
 		pool = healthy
 	}
 	c.mRouted.Inc()
-	return c.router.Pick(pool, fp)
+	return pool[(c.rr.Add(1)-1)%uint64(len(pool))]
 }
 
 // runShardOn dispatches the given seeds to one worker and collects
@@ -788,8 +729,8 @@ func (c *Coordinator) runShardOn(cm *Campaign, w *Worker, seeds []int64) error {
 	return nil
 }
 
-// probeLoop polls every worker's capacity report, feeding least-loaded
-// routing and evicting workers after FailAfter consecutive failures.
+// probeLoop polls every worker's capacity report, recording its
+// reported load and evicting workers after FailAfter consecutive failures.
 // Eviction is permanent: a flapping worker that lost its in-memory job
 // state cannot be trusted with shards again, and its work has already
 // been restolen.

@@ -296,3 +296,19 @@ func TestAdmissionThrottlesAndClientRecovers(t *testing.T) {
 		}
 	}
 }
+
+func TestRoundRobinCycles(t *testing.T) {
+	c := &Coordinator{}
+	c.mRouted = metrics.NewRegistry().Counter("skyran_cluster_routing_decisions_total", "")
+	for i := 0; i < 3; i++ {
+		c.workers = append(c.workers, &Worker{Addr: "w", Index: i, br: NewBreaker(0, 0, nil), down: make(chan struct{})})
+	}
+	for i := 0; i < 9; i++ {
+		if got := c.pickWorker(nil); got.Index != i%3 {
+			t.Fatalf("pick %d = worker %d, want %d", i, got.Index, i%3)
+		}
+	}
+	if v := c.mRouted.Value(); v != 9 {
+		t.Fatalf("routing decisions = %v, want 9", v)
+	}
+}

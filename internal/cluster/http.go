@@ -80,7 +80,6 @@ type workerStatus struct {
 }
 
 type clusterStatus struct {
-	Route     string         `json:"route"`
 	Workers   []workerStatus `json:"workers"`
 	Healthy   int            `json:"healthy"`
 	Campaigns int            `json:"campaigns"`
@@ -188,7 +187,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	st := clusterStatus{Route: c.Route(), Healthy: c.HealthyWorkers()}
+	st := clusterStatus{Healthy: c.HealthyWorkers()}
 	for _, wk := range c.workers {
 		st.Workers = append(st.Workers, workerStatus{
 			Addr:             wk.Addr,

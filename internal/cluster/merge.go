@@ -13,7 +13,7 @@ import (
 // in ascending order, each result embedded as the raw canonical bytes
 // the worker's result endpoint served — the same bytes `skyranctl
 // -json` prints — and the sector order inside each result is already
-// pinned by the fleet's canonical merge. Worker count, routing policy,
+// pinned by the fleet's canonical merge. Worker count, routing order,
 // shard boundaries, eviction and resteal therefore cannot show up in
 // the output: any topology yields byte-identical campaigns. The golden
 // tests pin exactly that.

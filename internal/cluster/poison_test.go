@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/server"
 )
 
@@ -19,7 +20,7 @@ func startPoisonWorker(t *testing.T, seeds ...int64) *workerD {
 		QueueCap:   16,
 		Workers:    1,
 		JobTimeout: 2 * time.Minute,
-		Chaos:      &server.ChaosConfig{PoisonSeeds: seeds},
+		Chaos:      &chaos.DaemonConfig{PoisonSeeds: seeds},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -209,38 +209,6 @@ func TestJournalDirFailFast(t *testing.T) {
 	}
 }
 
-// Hedged dispatch: with a tiny HedgeAfter, a slow shard is hedged to
-// the second worker and the campaign still merges byte-identically.
-func TestHedgedDispatchByteIdentical(t *testing.T) {
-	template := campaignTemplate(2)
-	seeds := []int64{41}
-	want := localExpected(t, template, seeds)
-
-	wa, wb := startWorkerD(t), startWorkerD(t)
-	reg := metrics.NewRegistry()
-	c := newCoordinator(t, Config{
-		WorkerAddrs: []string{wa.ts.URL, wb.ts.URL},
-		ShardSeeds:  1,
-		PollEvery:   30 * time.Millisecond,
-		HedgeAfter:  50 * time.Millisecond,
-		Registry:    reg,
-	})
-	cm, err := c.SubmitCampaign(template, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitCampaign(t, cm)
-	if cm.State() != CampaignSucceeded {
-		t.Fatalf("campaign %s: %s", cm.State(), cm.Err())
-	}
-	if !bytes.Equal(cm.Merged(), want) {
-		t.Error("hedged merged bytes differ from local merge")
-	}
-	if v := reg.Counter("skyran_cluster_hedges_total", "").Value(); v < 1 {
-		t.Errorf("hedges_total = %v, want >= 1 (job runtime >> HedgeAfter)", v)
-	}
-}
-
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

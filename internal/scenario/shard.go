@@ -92,9 +92,8 @@ func SpecForSeed(template Spec, seed int64) Spec {
 
 // CampaignFingerprint fingerprints a campaign template with its seed
 // zeroed, so every shard of one campaign — whatever seed range it
-// carries — maps to the same value. The cluster's scenario-affinity
-// router keys on it: shards of one campaign land on one worker, whose
-// obstruction/REM caches and checkpoint directory stay warm for them.
+// carries — maps to the same value. The cluster journal stamps it on
+// each campaign record.
 func CampaignFingerprint(spec Spec) (uint64, error) {
 	spec.Seed = 0
 	return Fingerprint(spec)

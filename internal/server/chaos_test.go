@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -213,11 +214,10 @@ func TestChaosCrashByteIdentical(t *testing.T) {
 	s := mustNew(t, Config{
 		QueueCap: 2, Workers: 1, JobTimeout: time.Minute,
 		CheckpointDir: t.TempDir(),
-		Chaos: &ChaosConfig{
-			Seed:            11,
-			WorkerCrashRate: 1,
-			CrashAfter:      300 * time.Millisecond,
-			MaxCrashes:      1,
+		Chaos: &chaos.DaemonConfig{
+			Seed:       11,
+			CrashRate:  1,
+			CrashAfter: 300 * time.Millisecond,
 		},
 	})
 	s.Start()
@@ -253,10 +253,10 @@ func TestChaosCrashByteIdentical(t *testing.T) {
 // TestChaosSlowHandlers: the latency layer delays but never breaks a
 // request.
 func TestChaosSlowHandlers(t *testing.T) {
-	s := mustNew(t, Config{QueueCap: 2, Workers: 1, Chaos: &ChaosConfig{
-		Seed:            5,
-		SlowHandlerRate: 1,
-		SlowHandlerMax:  5 * time.Millisecond,
+	s := mustNew(t, Config{QueueCap: 2, Workers: 1, Chaos: &chaos.DaemonConfig{
+		Seed:     5,
+		SlowRate: 1,
+		SlowMax:  5 * time.Millisecond,
 	}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -266,8 +266,104 @@ func TestChaosSlowHandlers(t *testing.T) {
 			t.Fatalf("healthz under chaos: %d", code)
 		}
 	}
+	// Rate 1 slows every request, the /metrics scrape included.
 	_, body := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(string(body), "skyrand_chaos_slow_handlers_total") {
-		t.Fatal("metrics missing skyrand_chaos_slow_handlers_total")
+	if !strings.Contains(string(body), "skyrand_chaos_slow_handlers_total 4") {
+		t.Fatalf("metrics missing skyrand_chaos_slow_handlers_total 4:\n%s", body)
 	}
+}
+
+// TestZeroChaosServesBareMux: an absent or all-zero drill config
+// builds no drill state and installs no middleware.
+func TestZeroChaosServesBareMux(t *testing.T) {
+	for _, cfg := range []*chaos.DaemonConfig{nil, {}, {Seed: 99, SlowMax: time.Second, CrashAfter: time.Second}} {
+		s := mustNew(t, Config{QueueCap: 2, Workers: 1, Chaos: cfg})
+		if s.chaos != nil {
+			t.Fatalf("config %+v built drill state", cfg)
+		}
+		if _, ok := s.Handler().(*http.ServeMux); !ok {
+			t.Fatalf("config %+v wrapped the mux: %T", cfg, s.Handler())
+		}
+	}
+}
+
+// TestChaosCrashIndependentOfArrivalOrder: a job's crash is keyed on
+// its own spec, so two daemons with the same chaos seed fed the same
+// specs in opposite orders crash the same specs and return the same
+// bytes.
+func TestChaosCrashIndependentOfArrivalOrder(t *testing.T) {
+	const chaosSeed = 3
+	specs := make([]scenario.Spec, 4)
+	for i := range specs {
+		specs[i] = tinySpec(int64(20 + i))
+		specs[i].Epochs = 2
+	}
+	// The drill's own decisions for one pass over the specs; a mix of
+	// crashed and spared specs keeps the comparison meaningful.
+	predict := chaos.NewDaemon(&chaos.DaemonConfig{Seed: chaosSeed, CrashRate: 0.5})
+	wantCrash := make(map[int64]bool)
+	for _, sp := range specs {
+		fp, err := scenario.Fingerprint(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantCrash[sp.Seed] = predict.Crash(fp)
+	}
+	if n := len(specs); countTrue(wantCrash) == 0 || countTrue(wantCrash) == n {
+		t.Fatalf("chaos seed %d crashes %d of %d specs; pick a seed that mixes", chaosSeed, countTrue(wantCrash), n)
+	}
+
+	run := func(order []scenario.Spec) (map[int64]bool, map[int64][]byte) {
+		reg := metrics.NewRegistry()
+		s := mustNew(t, Config{
+			QueueCap: len(order), Workers: 1, JobTimeout: time.Minute,
+			CheckpointDir: t.TempDir(), Registry: reg,
+			Chaos: &chaos.DaemonConfig{Seed: chaosSeed, CrashRate: 0.5, CrashAfter: time.Millisecond},
+		})
+		s.Start()
+		defer s.Shutdown(context.Background()) //nolint:errcheck
+		crashes := reg.Counter("skyrand_worker_crashes_total", "")
+		crashed, results := make(map[int64]bool), make(map[int64][]byte)
+		for _, sp := range order {
+			before := crashes.Value()
+			job, err := s.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, job)
+			if st := job.State(); st != JobSucceeded {
+				t.Fatalf("seed %d: state %s: %s", sp.Seed, st, job.errMsg)
+			}
+			crashed[sp.Seed] = crashes.Value() > before
+			job.mu.Lock()
+			results[sp.Seed] = job.resultJSON
+			job.mu.Unlock()
+		}
+		return crashed, results
+	}
+	reversed := make([]scenario.Spec, len(specs))
+	for i, sp := range specs {
+		reversed[len(specs)-1-i] = sp
+	}
+	crashA, resA := run(specs)
+	crashB, resB := run(reversed)
+	for _, sp := range specs {
+		if crashA[sp.Seed] != wantCrash[sp.Seed] || crashB[sp.Seed] != wantCrash[sp.Seed] {
+			t.Errorf("seed %d crashed %v (forward) / %v (reversed), drill decided %v",
+				sp.Seed, crashA[sp.Seed], crashB[sp.Seed], wantCrash[sp.Seed])
+		}
+		if !bytes.Equal(resA[sp.Seed], resB[sp.Seed]) {
+			t.Errorf("seed %d: result bytes differ between arrival orders", sp.Seed)
+		}
+	}
+}
+
+func countTrue(m map[int64]bool) int {
+	n := 0
+	for _, v := range m {
+		if v {
+			n++
+		}
+	}
+	return n
 }

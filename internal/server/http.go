@@ -83,10 +83,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.chaos != nil && s.chaos.cfg.SlowHandlerRate > 0 {
-		return s.slowMiddleware(mux, s.mSlowHandlers)
-	}
-	return mux
+	return s.chaos.Handler(mux, s.mSlowHandlers)
 }
 
 // maxSubmitBytes caps a job-submission body; a scenario spec is a few
@@ -361,10 +358,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyReport is the /readyz body: readiness plus the capacity report
-// least-loaded cluster routing feeds on — queue depth, inflight jobs
-// and worker-pool size. It is equally useful standalone: one curl tells
-// an operator how loaded a daemon is.
+// readyReport is the /readyz body: readiness plus a capacity report —
+// queue depth, inflight jobs and worker-pool size. The cluster
+// coordinator shows it per worker as reported_load; one curl tells an
+// operator how loaded a daemon is.
 type readyReport struct {
 	Status      string `json:"status"`
 	QueueDepth  int    `json:"queue_depth"`

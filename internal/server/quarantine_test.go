@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/metrics"
 )
 
@@ -24,7 +25,7 @@ func TestPoisonSeedPanicBecomesFailedJob(t *testing.T) {
 		Workers:    1,
 		JobTimeout: time.Minute,
 		Registry:   reg,
-		Chaos:      &ChaosConfig{PoisonSeeds: []int64{9}},
+		Chaos:      &chaos.DaemonConfig{PoisonSeeds: []int64{9}},
 	})
 	s.Start()
 	defer s.Shutdown(context.Background()) //nolint:errcheck
@@ -71,7 +72,7 @@ func TestConsecutivePanicsQuarantine(t *testing.T) {
 		JobTimeout:      time.Minute,
 		Registry:        reg,
 		QuarantineAfter: 2,
-		Chaos:           &ChaosConfig{PoisonSeeds: []int64{7}},
+		Chaos:           &chaos.DaemonConfig{PoisonSeeds: []int64{7}},
 	})
 	s.Start()
 	defer s.Shutdown(context.Background()) //nolint:errcheck

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -66,9 +67,9 @@ type Config struct {
 	// records are never collected by either knob.
 	JournalMaxAge time.Duration
 
-	// Chaos enables daemon-level fault injection (slow handlers,
-	// simulated worker crashes, poison seeds). Nil disables it.
-	Chaos *ChaosConfig
+	// Chaos enables the daemon drills (slow handlers, simulated worker
+	// crashes, poison seeds). Nil or all-zero disables them.
+	Chaos *chaos.DaemonConfig
 
 	// QuarantineAfter is how many consecutive panics a spec fingerprint
 	// may cause before its jobs are failed fast instead of run — so one
@@ -155,7 +156,7 @@ type Server struct {
 	nextID   int
 	draining bool
 
-	chaos *chaosState // nil unless Config.Chaos is active
+	chaos *chaos.Daemon // nil unless Config.Chaos is active
 
 	// Poison-job quarantine: spec fingerprints that panicked
 	// QuarantineAfter times in a row are failed fast until restart.
@@ -226,10 +227,8 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.normalize(); err != nil {
-			return nil, err
-		}
+	if err := cfg.Chaos.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = 3
@@ -291,9 +290,7 @@ func New(cfg Config) (*Server, error) {
 		mQuarantineRejects: reg.Counter("skyran_quarantine_rejections_total", "Jobs failed fast because their spec fingerprint is quarantined."),
 		gQuarantined:       reg.Gauge("skyran_quarantined_jobs", "Spec fingerprints currently quarantined after consecutive panics."),
 	}
-	if cfg.Chaos.active() {
-		s.chaos = newChaosState(*cfg.Chaos)
-	}
+	s.chaos = chaos.NewDaemon(cfg.Chaos)
 	s.mJournalCorrupt.Add(float64(corruptEntries))
 	for _, job := range s.recoverJobs(journaled) {
 		s.writeJournal(job)
@@ -505,11 +502,11 @@ func (s *Server) Cancel(id string) bool {
 		j.errMsg = "canceled before start"
 		j.finished = time.Now()
 		j.mu.Unlock()
+		s.mCanceled.Inc()
+		s.mCompleted.Inc()
 		s.writeJournal(j)
 		j.events.close()
 		close(j.done)
-		s.mCanceled.Inc()
-		s.mCompleted.Inc()
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -615,7 +612,7 @@ func (s *Server) runJob(job *Job) {
 	var res *scenario.Result
 	var store *rem.Store
 	var err error
-	if crashAfter, doomed := s.chaos.planCrash(); doomed {
+	if crashAfter, doomed := s.planCrash(job); doomed {
 		// Simulated worker crash: abort the run mid-flight, then take
 		// the same recovery path a restarted daemon would — resume from
 		// the newest intact checkpoint (or rerun from scratch).
@@ -665,11 +662,8 @@ func (s *Server) runJob(job *Job) {
 	}
 	st := job.state
 	job.mu.Unlock()
-	// The terminal record lands before anyone can observe the job done.
-	s.writeJournal(job)
-	job.events.close()
-	close(job.done)
-
+	// The terminal record and counters land before anyone can observe
+	// the job done.
 	s.mCompleted.Inc()
 	switch st {
 	case JobFailed:
@@ -677,6 +671,22 @@ func (s *Server) runJob(job *Job) {
 	case JobCanceled:
 		s.mCanceled.Inc()
 	}
+	s.writeJournal(job)
+	job.events.close()
+	close(job.done)
+}
+
+// planCrash asks the chaos drill whether this run of the job should
+// crash, keyed on the job's spec fingerprint.
+func (s *Server) planCrash(job *Job) (time.Duration, bool) {
+	if s.chaos == nil {
+		return 0, false
+	}
+	fp, err := scenario.Fingerprint(job.spec)
+	if err != nil {
+		return 0, false
+	}
+	return s.chaos.Crash(fp)
 }
 
 // checkpointDirFor resolves a job's checkpoint directory: a cluster
@@ -738,7 +748,7 @@ func (s *Server) runScenario(ctx context.Context, job *Job, recovered bool, opts
 		res, store = nil, nil
 		err = fmt.Errorf("panic: %v", val)
 	}()
-	if s.chaos.poisonSeed(job.spec.Seed) {
+	if s.chaos.Poisoned(job.spec.Seed) {
 		panic(fmt.Sprintf("chaos: poison seed %d", job.spec.Seed))
 	}
 	if dir := s.checkpointDirFor(job); dir != "" && (recovered || job.ckptDir != "") {

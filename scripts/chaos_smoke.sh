@@ -43,7 +43,7 @@ echo "chaos-smoke: faulty CLI runs are byte-identical and report fault counters"
 
 "$tmp/skyrand" -addr 127.0.0.1:0 -workers 1 -queue 4 \
 	-checkpoint-dir "$tmp/ckpt" \
-	-chaos-seed 11 -chaos-crash-rate 1 -chaos-crash-after 300ms -chaos-max-crashes 1 \
+	-chaos-seed 11 -chaos-crash-rate 1 -chaos-crash-after 300ms \
 	-chaos-slow-rate 0.5 -chaos-slow-max 10ms >"$tmp/skyrand.log" 2>&1 &
 pid=$!
 
